@@ -106,55 +106,59 @@ void HandshakeRttTracker::add(const capture::PacketRecord& p) {
   if (!syn) return;
   const bool ack = net::has_flag(p.flags, net::TcpFlag::kAck);
   if (p.direction == net::Direction::kUp && !ack) {
-    syns_.push_back(PendingSyn{p.connection_id, p.t_s, std::nullopt});
+    pending_[p.connection_id].push_back(PendingSyn{p.t_s, syns_++});
     return;
   }
-  if (p.direction == net::Direction::kDown && ack) {
-    // The earliest SYN-ACK at or after each pending SYN resolves it; a SYN
-    // resolved once keeps its value (first match wins, as in the batch scan).
-    for (auto& s : syns_) {
-      if (!s.rtt_s.has_value() && s.connection_id == p.connection_id && s.t_s <= p.t_s) {
-        s.rtt_s = p.t_s - s.t_s;
-      }
+  if (p.direction != net::Direction::kDown || !ack) return;
+  const auto it = pending_.find(p.connection_id);
+  if (it == pending_.end()) return;
+  // The earliest SYN-ACK at or after each pending SYN resolves it; a SYN
+  // resolved once keeps its value (first match wins, as in the batch scan).
+  std::erase_if(it->second, [&](const PendingSyn& s) {
+    if (s.t_s > p.t_s) return false;
+    if (!rtt_s_.has_value() || s.arrival < best_arrival_) {
+      best_arrival_ = s.arrival;
+      rtt_s_ = p.t_s - s.t_s;
     }
-  }
-}
-
-std::optional<double> HandshakeRttTracker::rtt_s() const {
-  for (const auto& s : syns_) {
-    if (s.rtt_s.has_value()) return s.rtt_s;
-  }
-  return std::nullopt;
+    return true;
+  });
+  if (it->second.empty()) pending_.erase(it);
 }
 
 // ---------------------------------------------------------------------------
 // FirstRttAccumulator
 
-void FirstRttAccumulator::open_window(double start_s, std::optional<double> rtt_now) {
+void FirstRttAccumulator::open_window(double start_s, std::optional<double> rtt) {
   Window w;
-  w.bounded = rtt_now.has_value();
-  w.rtt_used = rtt_now.value_or(0.0);
-  w.end_s = w.bounded ? start_s + *rtt_now : start_s;
+  w.bounded = rtt.has_value();
+  w.rtt_used = rtt.value_or(0.0);
+  // Records fed at exactly `start_s` (a probe sharing the ON-start
+  // timestamp) are inside [start, start + rtt) too.
+  w.bytes_before = start_s <= last_t_ ? bytes_before_last_t_ : bytes_;
+  if (w.bounded) closing_.emplace(start_s + *rtt, windows_.size());
   windows_.push_back(w);
 }
 
 void FirstRttAccumulator::add_down_data(double t_s, std::uint64_t bytes) {
-  // Windows open in time order and share one RTT, so they also close in
-  // order; skip the closed prefix instead of rescanning it.
-  while (first_open_ < windows_.size() && windows_[first_open_].bounded &&
-         t_s >= windows_[first_open_].end_s) {
-    ++first_open_;
+  while (!closing_.empty() && t_s >= closing_.top().first) {
+    Window& w = windows_[closing_.top().second];
+    w.bytes_at_end = bytes_;
+    w.closed = true;
+    closing_.pop();
   }
-  for (std::size_t i = first_open_; i < windows_.size(); ++i) {
-    Window& w = windows_[i];
-    if (!w.bounded || t_s < w.end_s) w.bytes += bytes;
+  if (t_s != last_t_) {
+    last_t_ = t_s;
+    bytes_before_last_t_ = bytes_;
   }
+  bytes_ += bytes;
 }
 
 std::vector<double> FirstRttAccumulator::samples() const {
   std::vector<double> out;
   out.reserve(windows_.size());
-  for (const auto& w : windows_) out.push_back(static_cast<double>(w.bytes));
+  for (const auto& w : windows_) {
+    out.push_back(static_cast<double>((w.closed ? w.bytes_at_end : bytes_) - w.bytes_before));
+  }
   return out;
 }
 

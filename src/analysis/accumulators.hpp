@@ -4,7 +4,8 @@
 // `TraceRecorder` sink, a pcap read loop, or a `TraceView` walk — and
 // reproduces its batch function's output exactly: the batch entry points
 // (`analyze_on_off`, `build_flow_table`, `estimate_handshake_rtt`,
-// `estimate_cycle_period`) are thin wrappers that feed an accumulator, so
+// `estimate_cycle_period`, `first_rtt_bytes`, and `build_report` through
+// `StreamingReportBuilder`) are thin wrappers that feed an accumulator, so
 // the two paths cannot diverge. Memory scales with the number of ON/OFF
 // cycles and TCP connections, never with the number of packets — the
 // property that lets a sweep analyze tens of thousands of sessions, or a
@@ -16,8 +17,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -76,7 +79,6 @@ class ZeroWindowAccumulator {
 class RetransmissionAccumulator {
  public:
   void add(const capture::PacketRecord& p);
-  [[nodiscard]] std::uint64_t down_payload_bytes() const { return total_; }
   [[nodiscard]] double fraction() const;
 
  private:
@@ -84,46 +86,48 @@ class RetransmissionAccumulator {
   std::uint64_t retx_{0};
 };
 
-/// Online handshake-RTT estimate: client SYNs (up, SYN without ACK) are
-/// queued in arrival order; each down SYN-ACK resolves every still-pending
-/// SYN of its connection. The answer is the first SYN in arrival order that
-/// found a match — exactly what the batch scan returns, in O(packets x
-/// connections) instead of the seed's O(packets^2).
+/// Online handshake-RTT estimate: client SYNs (up, SYN without ACK) wait
+/// per connection; each down SYN-ACK resolves every still-pending SYN of its
+/// connection. The answer is the first SYN in arrival order that found a
+/// match — exactly what the batch scan returns, at O(log connections) per
+/// handshake record and O(1) per query.
 class HandshakeRttTracker {
  public:
   void add(const capture::PacketRecord& p);
 
   /// Current best estimate; may change while unmatched SYNs precede the
   /// first matched one, and is final once the head-of-queue SYN matches.
-  [[nodiscard]] std::optional<double> rtt_s() const;
+  [[nodiscard]] std::optional<double> rtt_s() const { return rtt_s_; }
 
  private:
   struct PendingSyn {
-    std::uint64_t connection_id{0};
     double t_s{0.0};
-    std::optional<double> rtt_s;
+    std::size_t arrival{0};  ///< index among all SYNs seen
   };
-  std::vector<PendingSyn> syns_;
+  std::map<std::uint64_t, std::vector<PendingSyn>> pending_;  // by connection id
+  std::size_t syns_{0};
+  std::size_t best_arrival_{0};  ///< arrival index behind `rtt_s_`
+  std::optional<double> rtt_s_;
 };
 
 /// Online first-RTT byte windows (§5.1.5 / Fig 9): one window per
 /// steady-state ON period preceded by a qualifying OFF, summing all
 /// down-direction data bytes in [start, start + rtt). The owner opens
-/// windows from `OnOffAccumulator` cycle events and feeds every down data
-/// record. Windows use the RTT known when they open; if the handshake
-/// estimate later changes (`stale_against` reports it), the samples are
-/// best-effort rather than batch-identical — impossible when the video
-/// connection's handshake completes before steady state, i.e. every real
-/// capture.
+/// windows at ON-period starts and feeds every down data record in time
+/// order. A window is two reads of a running byte total, at its start and
+/// at the first record past its end, so a record costs O(1) however many
+/// windows overlap. If the RTT a window opened with differs from the final
+/// estimate (`stale_against`), its sample is best-effort.
 class FirstRttAccumulator {
  public:
-  /// Open a window at an ON-period start. `rtt_now` absent (no handshake
-  /// resolved yet) makes the window unbounded and marks the result stale.
-  void open_window(double start_s, std::optional<double> rtt_now);
+  /// Open a window at an ON-period start, before the records at `start_s`
+  /// that follow are fed; records already fed at exactly `start_s` count
+  /// too. `rtt` absent (no handshake resolved yet) makes the window
+  /// unbounded and marks the result stale.
+  void open_window(double start_s, std::optional<double> rtt);
 
   /// Feed one down-direction data packet (payload > 0), the same packet
-  /// stream the ON/OFF machine sees; call after `open_window` so the
-  /// window-opening packet lands in its own window.
+  /// stream the ON/OFF machine sees.
   void add_down_data(double t_s, std::uint64_t bytes);
 
   /// Per-window byte counts in window-open order (the Fig 9 samples).
@@ -135,13 +139,19 @@ class FirstRttAccumulator {
 
  private:
   struct Window {
-    double end_s{0.0};
     double rtt_used{0.0};
-    std::uint64_t bytes{0};
+    std::uint64_t bytes_before{0};  ///< running total at the window start
+    std::uint64_t bytes_at_end{0};  ///< running total at close
     bool bounded{false};
+    bool closed{false};
   };
+  using Closing = std::pair<double, std::size_t>;  // (end_s, window index)
+
   std::vector<Window> windows_;
-  std::size_t first_open_{0};
+  std::priority_queue<Closing, std::vector<Closing>, std::greater<>> closing_;
+  std::uint64_t bytes_{0};              ///< all down data fed so far
+  double last_t_{0.0};                  ///< timestamp of the latest record fed
+  std::uint64_t bytes_before_last_t_{0};  ///< running total before `last_t_`
 };
 
 /// Online autocorrelation periodicity estimate. Replicates the batch

@@ -1,5 +1,6 @@
 #include "analysis/ack_clock.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "analysis/accumulators.hpp"
@@ -27,22 +28,23 @@ std::vector<double> first_rtt_bytes(capture::TraceView trace,
   }
   if (rtt <= 0.0) throw std::invalid_argument{"first_rtt_bytes: non-positive RTT"};
 
-  std::vector<double> samples;
-  // ON period i (i >= 1) is preceded by OFF i-1.
-  for (std::size_t i = 1; i < analysis.on_periods.size(); ++i) {
-    if (analysis.off_durations_s[i - 1] < options.min_preceding_off_s) continue;
-    const auto& on = analysis.on_periods[i];
-    const double window_end = on.start_s + rtt;
-    std::uint64_t bytes = 0;
-    for (const auto& p : trace) {
-      if (p.direction != net::Direction::kDown || p.payload_bytes == 0) continue;
-      if (p.t_s < on.start_s) continue;
-      if (p.t_s >= window_end) break;
-      bytes += p.payload_bytes;
+  // One forward pass: each qualifying window opens at the first down-data
+  // record at or after its start, and all windows share one running total.
+  FirstRttAccumulator windows;
+  std::size_t next = 1;  // ON period i (i >= 1) is preceded by OFF i-1
+  const auto open_through = [&](double t_s) {
+    for (; next < analysis.on_periods.size() && analysis.on_periods[next].start_s <= t_s; ++next) {
+      if (analysis.off_durations_s[next - 1] < options.min_preceding_off_s) continue;
+      windows.open_window(analysis.on_periods[next].start_s, rtt);
     }
-    samples.push_back(static_cast<double>(bytes));
+  };
+  for (const auto& p : trace) {
+    if (p.direction != net::Direction::kDown || p.payload_bytes == 0) continue;
+    open_through(p.t_s);
+    windows.add_down_data(p.t_s, p.payload_bytes);
   }
-  return samples;
+  open_through(std::numeric_limits<double>::infinity());  // windows past the last record
+  return windows.samples();
 }
 
 }  // namespace vstream::analysis

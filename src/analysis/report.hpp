@@ -94,9 +94,9 @@ struct ReportOptions {
   ResilienceStats resilience;
 };
 
-/// Batch entry point: several passes over one in-memory trace (view). The
-/// single-pass equivalent is `StreamingReportBuilder` (streaming_report.hpp);
-/// the two are tested field-identical on the whole scenario catalog.
+/// Batch entry point over one in-memory trace (view): resolve the handshake
+/// RTT, then fold the trace once through `StreamingReportBuilder`
+/// (streaming_report.hpp) with that RTT fixed for the first-RTT windows.
 [[nodiscard]] SessionReport build_report(capture::TraceView trace,
                                          const ReportOptions& options = {});
 

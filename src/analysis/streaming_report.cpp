@@ -7,7 +7,14 @@
 namespace vstream::analysis {
 
 StreamingReportBuilder::StreamingReportBuilder(const ReportOptions& options)
-    : options_{options}, resilience_{options.resilience}, onoff_{options.onoff} {}
+    : StreamingReportBuilder{options, std::nullopt} {}
+
+StreamingReportBuilder::StreamingReportBuilder(const ReportOptions& options,
+                                               std::optional<double> first_rtt_s)
+    : options_{options},
+      resilience_{options.resilience},
+      first_rtt_s_{first_rtt_s},
+      onoff_{options.onoff} {}
 
 void StreamingReportBuilder::add(const capture::PacketRecord& p) {
   ++packets_;
@@ -22,7 +29,8 @@ void StreamingReportBuilder::add(const capture::PacketRecord& p) {
     // A steady-state ON period preceded by a qualifying OFF: open a Fig 9
     // window before counting this packet, so the window-opening packet
     // lands in its own window — exactly the batch [start, start + rtt).
-    first_rtt_.open_window(event->start_s, handshake_.rtt_s());
+    first_rtt_.open_window(event->start_s,
+                           first_rtt_s_.has_value() ? first_rtt_s_ : handshake_.rtt_s());
   }
   if (p.direction == net::Direction::kDown && p.payload_bytes > 0) {
     first_rtt_.add_down_data(p.t_s, p.payload_bytes);
@@ -32,8 +40,6 @@ void StreamingReportBuilder::add(const capture::PacketRecord& p) {
 }
 
 SessionReport StreamingReportBuilder::finish() const {
-  // Field order mirrors build_report exactly, so every floating-point
-  // operation happens with the same operands in the same sequence.
   SessionReport report;
   report.label = label_;
   report.packets = packets_;

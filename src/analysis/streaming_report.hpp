@@ -1,21 +1,21 @@
-// Single-pass session report: the streaming counterpart of `build_report`.
+// Single-pass session report: the one implementation of `SessionReport`.
 //
 // A `StreamingReportBuilder` consumes `PacketRecord`s one at a time — from
-// a live `TraceRecorder` sink or a pcap read loop — and assembles the same
-// `SessionReport` the batch path produces, without ever materializing the
-// trace. Memory scales with ON/OFF cycles and TCP connections, not packets
-// (see DESIGN.md §9), which is what lets a 10k-session sweep or a
-// multi-hour capture run in constant space per session.
+// a live `TraceRecorder` sink, a pcap read loop, or a `TraceView` walk —
+// and assembles the report without ever materializing the trace. Memory
+// scales with ON/OFF cycles and TCP connections, not packets (see
+// DESIGN.md §9), which is what lets a 10k-session sweep or a multi-hour
+// capture run in constant space per session.
 //
-// Equivalence contract: `finish()` is field-identical to
-// `build_report(trace, options)` over the same record stream, provided the
-// handshake RTT estimate is final before the first qualifying steady-state
-// ON period (true whenever the video connection's handshake completes
-// before data flows — every catalog scenario; `first_rtt_stale()` reports
-// the exception). The equivalence tests in tests/streaming_report_test.cpp
-// enforce this across the whole scenario catalog and randomized traces.
+// The batch `build_report(trace, options)` is a fold of this builder that
+// opens every first-RTT window with the trace's final handshake RTT. A live
+// builder only knows the estimate so far, so its `finish()` equals
+// `build_report` over the same records provided the estimate is final
+// before the first qualifying steady-state ON period (every catalog
+// scenario; `first_rtt_stale()` reports the exception).
 #pragma once
 
+#include <optional>
 #include <set>
 #include <string>
 
@@ -44,18 +44,22 @@ class StreamingReportBuilder {
   [[nodiscard]] SessionReport finish() const;
 
   /// True when a first-RTT window opened before the handshake RTT estimate
-  /// settled — the one case where `finish()` is best-effort instead of
-  /// batch-identical (see file comment).
+  /// settled — the one case where a live builder's `finish()` differs from
+  /// `build_report` (see file comment).
   [[nodiscard]] bool first_rtt_stale() const;
 
-  [[nodiscard]] std::size_t packets_seen() const { return packets_; }
-
  private:
+  /// First-RTT windows use `first_rtt_s` when set, instead of the handshake
+  /// estimate known when each window opens.
+  StreamingReportBuilder(const ReportOptions& options, std::optional<double> first_rtt_s);
+  friend SessionReport build_report(capture::TraceView trace, const ReportOptions& options);
+
   ReportOptions options_;
   std::string label_;
   double encoding_bps_{0.0};
   double duration_s_{0.0};
   ResilienceStats resilience_;
+  std::optional<double> first_rtt_s_;
 
   std::size_t packets_{0};
   std::set<std::uint64_t> connections_;

@@ -2,9 +2,17 @@
 // ack-clock estimator — the paper's measurement methodology.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
+#include "analysis/accumulators.hpp"
 #include "analysis/ack_clock.hpp"
 #include "analysis/onoff.hpp"
+#include "analysis/report.hpp"
 #include "analysis/strategy.hpp"
+#include "analysis/streaming_report.hpp"
+#include "sim/rng.hpp"
+#include "stats/descriptive.hpp"
 
 namespace vstream::analysis {
 namespace {
@@ -301,6 +309,177 @@ TEST(AckClockTest, MissingRttThrows) {
   AckClockOptions bad;
   bad.rtt_s = 0.0;
   EXPECT_THROW((void)first_rtt_bytes(trace, a, bad), std::invalid_argument);
+}
+
+// ---- first-RTT windows against a reference rescan ------------------------
+
+/// The definition of the Fig 9 samples, written as the obvious per-window
+/// rescan: for each ON period preceded by a qualifying OFF, walk the trace
+/// from the start and sum down-direction data in [start, start + rtt).
+/// Quadratic, so it lives here as the oracle only.
+std::vector<double> reference_first_rtt_bytes(const PacketTrace& trace, const OnOffAnalysis& a,
+                                              double rtt) {
+  std::vector<double> samples;
+  for (std::size_t i = 1; i < a.on_periods.size(); ++i) {
+    if (a.off_durations_s[i - 1] < AckClockOptions{}.min_preceding_off_s) continue;
+    const double start = a.on_periods[i].start_s;
+    const double end = start + rtt;
+    std::uint64_t bytes = 0;
+    for (const auto& p : trace.packets) {
+      if (p.direction != Direction::kDown || p.payload_bytes == 0) continue;
+      if (p.t_s < start) continue;
+      if (p.t_s >= end) break;
+      bytes += p.payload_bytes;
+    }
+    samples.push_back(static_cast<double>(bytes));
+  }
+  return samples;
+}
+
+/// The report field the samples feed.
+std::optional<double> reference_median_kb(const std::vector<double>& samples) {
+  if (samples.empty()) return std::nullopt;
+  return stats::median(samples) / 1024.0;
+}
+
+void add_synack(PacketTrace& trace, double t, std::uint64_t conn = 1) {
+  PacketRecord r;
+  r.t_s = t;
+  r.direction = Direction::kDown;
+  r.connection_id = conn;
+  r.flags = TcpFlag::kSyn | TcpFlag::kAck;
+  trace.packets.push_back(r);
+}
+
+/// Randomized paced session for the first-RTT windows. Besides ordinary
+/// cycles it mixes in the cases a forward pass can get wrong: an RTT longer
+/// than the OFF gaps (overlapping windows), a probe sharing an ON start's
+/// timestamp and recorded ahead of it, data records with tied timestamps,
+/// OFF gaps below the 0.15 s qualifying bound, and probes inside OFF gaps.
+/// `same_t_probes` counts the probes placed at an ON start.
+PacketTrace random_window_trace(std::uint64_t seed, double rtt, std::size_t* same_t_probes) {
+  sim::Rng rng{seed};
+  PacketTrace trace;
+  add_up(trace, 0.0, 65536, TcpFlag::kSyn);
+  add_synack(trace, rtt);
+  double t = rtt;
+  const auto cycles = rng.uniform_int(20, 80);
+  for (std::int64_t c = 0; c < cycles; ++c) {
+    t += rng.bernoulli(0.2) ? rng.uniform(0.01, 0.14) : rng.uniform(0.16, 0.6);
+    if (rng.bernoulli(0.4)) {
+      add_down(trace, t, static_cast<std::uint32_t>(rng.uniform_int(1, 40)));
+      ++*same_t_probes;
+    }
+    const auto block = rng.uniform_int(1, 40);
+    for (std::int64_t i = 0; i < block; ++i) {
+      add_down(trace, t, 1448);
+      if (rng.bernoulli(0.3)) add_up(trace, t, 262144);
+      if (!rng.bernoulli(0.2)) t += rng.uniform(0.0005, 0.01);  // else the next record ties
+    }
+    if (rng.bernoulli(0.2)) {
+      t += rng.uniform(0.02, 0.1);
+      add_down(trace, t, 1);  // zero-window probe inside the OFF gap
+    }
+  }
+  trace.duration_s = t;
+  return trace;
+}
+
+TEST(AckClockTest, FirstRttBytesMatchesPerWindowRescan) {
+  std::size_t same_t_probes = 0;
+  std::size_t overlapping = 0;
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    sim::Rng pick{seed * 7919};
+    // Half the seeds use an RTT of several OFF gaps, so windows overlap.
+    const double rtt = seed % 2 == 0 ? pick.uniform(0.01, 0.1) : pick.uniform(0.4, 2.0);
+    const auto trace = random_window_trace(seed, rtt, &same_t_probes);
+    const auto a = analyze_on_off(trace);
+    const auto expected = reference_first_rtt_bytes(trace, a, rtt);
+
+    AckClockOptions opts;
+    opts.rtt_s = rtt;
+    EXPECT_EQ(first_rtt_bytes(trace, a, opts), expected) << "seed " << seed;
+    // No RTT given: the handshake in the trace supplies the same one.
+    EXPECT_EQ(first_rtt_bytes(trace, a), expected) << "seed " << seed;
+    const auto report = build_report(trace);
+    ASSERT_TRUE(report.rtt_ms.has_value());
+    EXPECT_EQ(report.median_first_rtt_kb, reference_median_kb(expected)) << "seed " << seed;
+
+    for (std::size_t i = 2; i < a.on_periods.size(); ++i) {
+      if (a.on_periods[i].start_s < a.on_periods[i - 1].start_s + rtt) ++overlapping;
+    }
+    checked += expected.size();
+  }
+  // The traces really exercise the awkward cases.
+  EXPECT_GT(checked, 1000U);
+  EXPECT_GT(overlapping, 100U);
+  EXPECT_GT(same_t_probes, 100U);
+}
+
+TEST(AckClockTest, LateHandshakeBuildReportUsesFinalRtt) {
+  // The only handshake in the capture completes after three qualifying ON
+  // periods. A live builder has to open those windows before any RTT is
+  // known; build_report resolves the final RTT first, so it still equals
+  // the reference computed with that RTT.
+  constexpr double kRtt = 0.05;
+  PacketTrace trace;
+  double t = 0.0;
+  const auto block = [&](int packets) {
+    for (int i = 0; i < packets; ++i) {
+      add_down(trace, t, 1448);
+      t += 0.004;
+    }
+  };
+  block(50);  // buffering
+  for (int c = 0; c < 3; ++c) {
+    t += 0.4;
+    block(30);
+  }
+  add_up(trace, t, 65536, TcpFlag::kSyn, 2);
+  add_synack(trace, t + kRtt, 2);
+  t += kRtt;
+  for (int c = 0; c < 2; ++c) {
+    t += 0.4;
+    block(30);
+  }
+  trace.duration_s = t;
+
+  const auto a = analyze_on_off(trace);
+  const auto expected = reference_first_rtt_bytes(trace, a, kRtt);
+  ASSERT_EQ(expected.size(), 5U);
+  const auto batch = build_report(trace);
+  ASSERT_TRUE(batch.rtt_ms.has_value());
+  EXPECT_EQ(batch.median_first_rtt_kb, reference_median_kb(expected));
+
+  StreamingReportBuilder live;
+  for (const auto& p : trace.packets) live.add(p);
+  live.set_duration_s(trace.duration_s);
+  EXPECT_TRUE(live.first_rtt_stale());
+  // Why the RTT is fixed before the fold: the live windows opened without
+  // an RTT ran to the end of the capture, which moves the median.
+  EXPECT_NE(live.finish().median_first_rtt_kb, batch.median_first_rtt_kb);
+}
+
+TEST(FirstRttAccumulatorTest, WindowsCloseOutOfOrderAndKeepTiedRecords) {
+  FirstRttAccumulator acc;
+  acc.open_window(0.0, 1.0);
+  acc.add_down_data(0.0, 1);
+  acc.add_down_data(0.05, 2);
+  acc.open_window(0.1, 0.2);  // opened later, closes first
+  acc.add_down_data(0.15, 4);
+  acc.add_down_data(0.25, 8);
+  acc.add_down_data(0.5, 16);
+  acc.add_down_data(1.2, 32);
+  acc.add_down_data(2.0, 64);  // recorded before its window opens, same t
+  acc.open_window(2.0, 0.1);
+  acc.add_down_data(2.0, 128);
+  acc.add_down_data(2.05, 256);
+  acc.add_down_data(2.1, 512);  // t == end: outside
+  acc.open_window(3.0, std::nullopt);  // unbounded: runs to the end
+  acc.add_down_data(9.0, 1024);
+  EXPECT_EQ(acc.samples(), (std::vector<double>{31.0, 12.0, 448.0, 1024.0}));
+  EXPECT_TRUE(acc.stale_against(0.1));
 }
 
 }  // namespace

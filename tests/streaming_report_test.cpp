@@ -1,8 +1,11 @@
-// Equivalence tests for the single-pass analysis pipeline: the
-// StreamingReportBuilder must produce a SessionReport field-identical to
-// the multi-pass batch `build_report` — on every catalog scenario and on
-// randomized synthetic traces exercising the awkward cases (timestamp
-// ties, zero-window probe episodes, multiple connections, retransmissions).
+// Equivalence tests for the single-pass analysis pipeline: a live
+// StreamingReportBuilder, fed records as a session or pcap produces them,
+// must produce a SessionReport field-identical to the batch `build_report`
+// (the same builder folded over the stored trace with the final handshake
+// RTT fixed) — on every catalog scenario and on randomized synthetic
+// traces exercising the awkward cases (timestamp ties, zero-window probe
+// episodes, multiple connections, retransmissions). Both are checked
+// against a reference rescan of the first-RTT windows in analysis_test.
 #include <gtest/gtest.h>
 
 #include <string>
