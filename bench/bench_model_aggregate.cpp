@@ -10,7 +10,7 @@
 //      (conclusion 2: Eq 3/4 are strategy-independent).
 //   3. A scale sweep: VSTREAM_BENCH_AGG_SESSIONS scale-model sessions
 //      (default 10k for CI; push to 1M for the EXPERIMENTS.md entry)
-//      through runner::run_topologies_streamed, windows pooled exactly
+//      through runner::run_worlds_streamed, windows pooled exactly
 //      across shards.
 //
 // Telemetry lands in BENCH_aggregate.json; tools/check_bench_floor.py
@@ -26,7 +26,7 @@
 #include <string>
 
 #include "model/aggregate.hpp"
-#include "runner/topology_sweep.hpp"
+#include "runner/session_sweep.hpp"
 #include "streaming/topology_builder.hpp"
 #include "support.hpp"
 
@@ -122,7 +122,7 @@ constexpr StrategyScenario kStrategies[] = {
 };
 
 struct ShowdownPoint {
-  runner::TopologyAccumulator sweep;
+  runner::SweepAccumulator sweep;
   AggregateParams params;
   double empirical_mean{0.0};
   double empirical_var{0.0};
@@ -177,7 +177,7 @@ ShowdownPoint run_strategy(const runner::ParallelSweep& pool, const StrategyScen
         .build();
   };
   ShowdownPoint point;
-  point.sweep = runner::run_topologies_streamed(pool, 0, worlds, make);
+  point.sweep = runner::run_worlds_streamed(pool, 0, worlds, make);
   point.params = point.sweep.measured_model_params();
   point.empirical_mean = point.sweep.mean_aggregate_bps();
   point.empirical_var = point.sweep.variance_aggregate();
@@ -301,7 +301,7 @@ void run_scale_sweep() {
   auto& telemetry = bench::RunTelemetry::instance();
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto sweep = runner::run_topologies_streamed(
+  const auto sweep = runner::run_worlds_streamed(
       pool, 0, worlds, [](std::size_t g) { return sweep_world(g, 900); });
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -339,8 +339,8 @@ void run_digest_invariance() {
   const auto make = [](std::size_t g) { return sweep_world(1000 + g, 64); };
   const runner::ParallelSweep serial{1};
   const runner::ParallelSweep pooled{4};
-  const auto a = runner::run_topologies_streamed(serial, 0, 8, make);
-  const auto b = runner::run_topologies_streamed(pooled, 0, 8, make);
+  const auto a = runner::run_worlds_streamed(serial, 0, 8, make);
+  const auto b = runner::run_worlds_streamed(pooled, 0, 8, make);
   const bool invariant = a.digest == b.digest && a.sim_events == b.sim_events;
   std::printf("\ndigest invariance (1 vs 4 workers, 8 worlds): %s (%016llx)\n",
               invariant ? "bit-identical" : "DIVERGED",

@@ -5,7 +5,8 @@
 //   1. dispatch chains (as bench_engine) with an open_span/close pair per
 //      event, against the same workload without any instrumentation, on a
 //      world with no sink attached: the no-op path is two pointer loads and
-//      a branch, and the acceptance bar is <5% dispatch regression.
+//      a branch, and the acceptance bar is <5% dispatch regression — gated
+//      on the median ratio of interleaved bare/no-sink pairs.
 //   2. the same workload with a RingBufferSink armed: every event now
 //      allocates and emits a SpanRecord, giving the armed-path event rate.
 //   3. histogram percentile queries (p50/p90/p99 interpolation) at snapshot
@@ -15,9 +16,11 @@
 // compares the extra.* metrics against bench/obs_floor.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
@@ -84,22 +87,55 @@ std::uint64_t run_span_workload(sim::Simulator& sim, std::size_t chains, std::ui
   return events;
 }
 
-double measure_span_dispatch(std::uint64_t events, SpanMode mode, std::size_t ring_capacity) {
-  return best_of(3, [events, mode, ring_capacity] {
-    sim::Simulator sim;
-    obs::ObsContext obs;
-    sim.set_obs(&obs);
-    std::unique_ptr<obs::RingBufferSink> sink;
-    if (mode == SpanMode::kArmed) {
-      sink = std::make_unique<obs::RingBufferSink>(ring_capacity);
-      obs.trace().attach(sink.get());
+/// One timed run of the span workload on a fresh world: events per second.
+double span_dispatch_rate(std::uint64_t events, SpanMode mode, std::size_t ring_capacity) {
+  sim::Simulator sim;
+  obs::ObsContext obs;
+  sim.set_obs(&obs);
+  std::unique_ptr<obs::RingBufferSink> sink;
+  if (mode == SpanMode::kArmed) {
+    sink = std::make_unique<obs::RingBufferSink>(ring_capacity);
+    obs.trace().attach(sink.get());
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t n = run_span_workload(sim, 512, events, mode);
+  const double s = wall_seconds_since(t0);
+  if (sink) obs.trace().detach(sink.get());
+  return static_cast<double>(n) / s;
+}
+
+struct NoopOverhead {
+  double median_ratio{0.0};  ///< median of the per-pair no-sink/bare ratios
+  double best_noop{0.0};     ///< fastest no-sink run, events/s
+  double best_bare{0.0};     ///< fastest bare run, events/s
+};
+
+/// The no-op span path against bare dispatch, as `pairs` back-to-back
+/// bare/no-sink pairs that alternate which half runs first. Host drift
+/// (frequency scaling, a neighbour's load) then hits both halves of a pair
+/// alike and cancels in the pair's ratio, and the median discards the pairs
+/// it split — where best-of blocks run minutes apart compare two different
+/// machine states.
+NoopOverhead measure_noop_overhead(std::uint64_t events, int pairs) {
+  NoopOverhead out;
+  std::vector<double> ratios;
+  for (int p = 0; p < pairs; ++p) {
+    double bare = 0.0;
+    double noop = 0.0;
+    if (p % 2 == 0) {
+      bare = span_dispatch_rate(events, SpanMode::kNone, 0);
+      noop = span_dispatch_rate(events, SpanMode::kNoSink, 0);
+    } else {
+      noop = span_dispatch_rate(events, SpanMode::kNoSink, 0);
+      bare = span_dispatch_rate(events, SpanMode::kNone, 0);
     }
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::uint64_t n = run_span_workload(sim, 512, events, mode);
-    const double s = wall_seconds_since(t0);
-    if (sink) obs.trace().detach(sink.get());
-    return static_cast<double>(n) / s;
-  });
+    ratios.push_back(noop / bare);
+    out.best_noop = std::max(out.best_noop, noop);
+    out.best_bare = std::max(out.best_bare, bare);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + pairs / 2, ratios.end());
+  out.median_ratio = ratios[pairs / 2];
+  return out;
 }
 
 double measure_percentiles(std::uint64_t queries) {
@@ -126,18 +162,19 @@ void print_reproduction() {
   auto& telemetry = bench::RunTelemetry::instance();
 
   constexpr std::uint64_t kEvents = 600'000;
-  const double bare = measure_span_dispatch(kEvents, SpanMode::kNone, 0);
-  const double noop = measure_span_dispatch(kEvents, SpanMode::kNoSink, 0);
-  const double armed = measure_span_dispatch(kEvents, SpanMode::kArmed, 4096);
-  std::printf("dispatch chains with a span open/close per event (512 chains, %llu events, "
-              "best of 3)\n",
+  constexpr int kPairs = 15;
+  const NoopOverhead noop = measure_noop_overhead(kEvents, kPairs);
+  const double armed = best_of(3, [] { return span_dispatch_rate(kEvents, SpanMode::kArmed, 4096); });
+  std::printf("dispatch chains with a span open/close per event (512 chains, %llu events)\n",
               static_cast<unsigned long long>(kEvents));
-  std::printf("  no instrumentation : %12.0f events/s\n", bare);
-  std::printf("  span, no sink      : %12.0f events/s (%.1f%% of bare)\n", noop,
-              100.0 * noop / bare);
-  std::printf("  span, ring sink    : %12.0f events/s (SpanRecord emitted per event)\n", armed);
-  telemetry.note_metric("span_noop_dispatch_events_per_sec", noop);
-  telemetry.note_metric("span_noop_overhead_ratio", noop / bare);
+  std::printf("  no instrumentation : %12.0f events/s (best of %d)\n", noop.best_bare, kPairs);
+  std::printf("  span, no sink      : %12.0f events/s (best of %d; median pair ratio %.1f%% of "
+              "bare over %d interleaved pairs)\n",
+              noop.best_noop, kPairs, 100.0 * noop.median_ratio, kPairs);
+  std::printf("  span, ring sink    : %12.0f events/s (SpanRecord emitted per event, best of 3)\n",
+              armed);
+  telemetry.note_metric("span_noop_dispatch_events_per_sec", noop.best_noop);
+  telemetry.note_metric("span_noop_overhead_ratio", noop.median_ratio);
   telemetry.note_metric("span_emit_events_per_sec", armed);
 
   constexpr std::uint64_t kQueries = 300'000;

@@ -70,9 +70,9 @@ double time_streamed(const std::vector<streaming::SessionConfig>& configs, std::
                      runner::SweepAccumulator* out = nullptr) {
   const runner::ParallelSweep pool{jobs};
   const auto t0 = std::chrono::steady_clock::now();
-  const auto acc = runner::run_sessions_streamed(pool, configs);
+  const auto acc = runner::run_worlds_streamed(pool, configs);
   const double s = wall_seconds_since(t0);
-  benchmark::DoNotOptimize(acc.sessions);
+  benchmark::DoNotOptimize(acc.worlds);
   if (out != nullptr) *out = acc;
   return s;
 }
@@ -182,7 +182,7 @@ void BM_StreamedSweep(benchmark::State& state) {
   const auto jobs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     const runner::ParallelSweep pool{jobs};
-    benchmark::DoNotOptimize(runner::run_sessions_streamed(pool, configs).sessions);
+    benchmark::DoNotOptimize(runner::run_worlds_streamed(pool, configs).worlds);
   }
   state.SetLabel("4 sessions x 5 s capture, O(workers) accumulators");
 }

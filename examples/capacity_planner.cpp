@@ -41,12 +41,14 @@
 // session, so one representative world's span timeline lands beside the
 // capacity numbers.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,8 +59,8 @@
 #include "runner/parallel_sweep.hpp"
 #include "runner/session_sweep.hpp"
 #include "runner/sweep_profiler.hpp"
-#include "runner/topology_sweep.hpp"
 #include "streaming/session_builder.hpp"
+#include "streaming/topology_builder.hpp"
 
 namespace {
 
@@ -167,13 +169,13 @@ int run_capacity(std::size_t capacity, double seconds, std::size_t shards, std::
   std::printf("sessions %zu..%zu of %zu (shard %zu/%zu), %.2f s capture, %zu workers\n", first,
               first + count, capacity, shard, shards, seconds, pool.jobs());
 
-  const runner::SweepAccumulator acc = runner::run_sessions_streamed(
+  const runner::SweepAccumulator acc = runner::run_worlds_streamed(
       pool, first, count, [seconds](std::size_t g) { return capacity_config(g, seconds); });
 
   const auto summary = profiler.summary();
   const std::size_t rss_kb = peak_rss_kb();
   std::printf("  %llu sessions, %llu sim events, %.1f GB downloaded\n",
-              static_cast<unsigned long long>(acc.sessions),
+              static_cast<unsigned long long>(acc.sessions_started),
               static_cast<unsigned long long>(acc.sim_events),
               static_cast<double>(acc.bytes_downloaded) / 1e9);
   std::printf("  mean session download rate %.2f Mbps, %llu rebuffers, %llu retries\n",
@@ -185,7 +187,7 @@ int run_capacity(std::size_t capacity, double seconds, std::size_t shards, std::
               static_cast<unsigned long long>(acc.digest.sessions));
   if (summary.wall_s > 0.0) {
     std::printf("  %.1f s wall, %.0f sessions/s, %.0f%% utilization, peak RSS %.1f MB\n",
-                summary.wall_s, static_cast<double>(acc.sessions) / summary.wall_s,
+                summary.wall_s, static_cast<double>(acc.sessions_started) / summary.wall_s,
                 summary.utilization() * 100.0, static_cast<double>(rss_kb) / 1024.0);
   }
 
@@ -253,7 +255,7 @@ int run_merge(const std::vector<std::string>& paths, const std::string& expect_d
   std::printf("== sharded capacity merge ==\n");
   std::printf("  %zu shards tile sessions [0, %zu) exactly\n", slices.size(), covered_end);
   std::printf("  %llu sessions, %llu sim events, %.1f GB downloaded\n",
-              static_cast<unsigned long long>(merged.sessions),
+              static_cast<unsigned long long>(merged.sessions_started),
               static_cast<unsigned long long>(merged.sim_events),
               static_cast<double>(merged.bytes_downloaded) / 1e9);
   std::printf("  mean session download rate %.2f Mbps, %llu rebuffers, %llu retries\n",
@@ -298,6 +300,38 @@ void print_dimensioning(const model::AggregateParams& p) {
   }
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: capacity_planner [--profile-out [path]] [--trace-out path]\n"
+               "                        [lambda_per_s] [mean_rate_mbps] [mean_duration_s]\n"
+               "       capacity_planner --capacity N [--seconds S]\n"
+               "                        [--shards K --shard I] [--shard-out PATH]\n"
+               "       capacity_planner --merge [--expect-digest HEX] shard.json...\n"
+               "       capacity_planner --flash-crowd N [--gbps G]\n");
+  return 2;
+}
+
+/// A count flag's value: the whole token must be a decimal number in
+/// [min, SIZE_MAX] — no sign, no trailing bytes.
+bool parse_count(const char* token, std::size_t min, std::size_t& out) {
+  const char* end = token + std::strlen(token);
+  std::size_t value = 0;
+  const auto [ptr, ec] = std::from_chars(token, end, value);
+  if (ec != std::errc{} || ptr != end || value < min) return false;
+  out = value;
+  return true;
+}
+
+/// A quantity flag's value: the whole token must be a finite number > 0.
+bool parse_positive(const char* token, double& out) {
+  const char* end = token + std::strlen(token);
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(token, end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) || value <= 0.0) return false;
+  out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -314,27 +348,27 @@ int main(int argc, char** argv) {
   double crowd_gbps = 1.0;
   while (argc > 1 && std::strncmp(argv[1], "--", 2) == 0) {
     if (std::strcmp(argv[1], "--capacity") == 0 && argc > 2) {
-      capacity = static_cast<std::size_t>(std::atoll(argv[2]));
+      if (!parse_count(argv[2], 1, capacity)) return usage();
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--flash-crowd") == 0 && argc > 2) {
-      crowd = static_cast<std::size_t>(std::atoll(argv[2]));
+      if (!parse_count(argv[2], 1, crowd)) return usage();
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--gbps") == 0 && argc > 2) {
-      crowd_gbps = std::atof(argv[2]);
+      if (!parse_positive(argv[2], crowd_gbps)) return usage();
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--seconds") == 0 && argc > 2) {
-      capacity_seconds = std::atof(argv[2]);
+      if (!parse_positive(argv[2], capacity_seconds)) return usage();
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shards") == 0 && argc > 2) {
-      shards = static_cast<std::size_t>(std::atoll(argv[2]));
+      if (!parse_count(argv[2], 1, shards)) return usage();
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shard") == 0 && argc > 2) {
-      shard = static_cast<std::size_t>(std::atoll(argv[2]));
+      if (!parse_count(argv[2], 0, shard)) return usage();
       --argc;
       ++argv;
     } else if (std::strcmp(argv[1], "--shard-out") == 0 && argc > 2) {
@@ -362,14 +396,7 @@ int main(int argc, char** argv) {
       --argc;
       ++argv;
     } else {
-      std::fprintf(stderr,
-                   "usage: capacity_planner [--profile-out [path]] [--trace-out path]\n"
-                   "                        [lambda_per_s] [mean_rate_mbps] [mean_duration_s]\n"
-                   "       capacity_planner --capacity N [--seconds S]\n"
-                   "                        [--shards K --shard I] [--shard-out PATH]\n"
-                   "       capacity_planner --merge [--expect-digest HEX] shard.json...\n"
-                   "       capacity_planner --flash-crowd N [--gbps G]\n");
-      return 2;
+      return usage();
     }
     --argc;
     ++argv;
@@ -384,6 +411,8 @@ int main(int argc, char** argv) {
     return run_flash_crowd(crowd, crowd_gbps);
   }
   if (capacity > 0) {
+    // Shard slices are capacity * i / shards; the product must not wrap.
+    if (capacity > std::numeric_limits<std::size_t>::max() / shards) return usage();
     return run_capacity(capacity, capacity_seconds, shards, shard, shard_out);
   }
 
@@ -454,7 +483,7 @@ int main(int argc, char** argv) {
           .seed(7000 + g)
           .build();
     };
-    const auto sweep = runner::run_topologies_streamed(pool, 0, kWorlds, make);
+    const auto sweep = runner::run_worlds_streamed(pool, 0, kWorlds, make);
     const auto measured = sweep.measured_model_params();
     std::printf("\nempirical topology cross-check (%llu sessions, %zu worlds, %zu workers):\n",
                 static_cast<unsigned long long>(sweep.sessions_started), kWorlds, pool.jobs());

@@ -38,19 +38,6 @@ struct NamedScenario {
 /// twin-run, same as the canonical set.
 [[nodiscard]] std::vector<NamedScenario> fault_scenarios(double capture_duration_s = 180.0);
 
-/// The determinism fingerprint of one scenario run: the simulator digest
-/// (event order + TCP state snapshots) with the run's headline results
-/// folded in, so divergence in either the event schedule or the outcome
-/// flips the value.
-struct RunFingerprint {
-  std::uint64_t digest{0};
-  std::uint64_t words_mixed{0};
-  std::uint64_t sim_events{0};
-  std::uint64_t bytes_downloaded{0};
-
-  friend bool operator==(const RunFingerprint&, const RunFingerprint&) = default;
-};
-
 /// Fold a session's headline outcome (bytes, events, connections, player
 /// progress, recovery dynamics) into `digest`, after the run. This is the
 /// result half of fingerprint_session, shared with the streamed-sweep
@@ -58,7 +45,8 @@ struct RunFingerprint {
 /// way: a divergence the event-order stream somehow missed still flips it.
 void fold_outcome(check::StateDigest& digest, const SessionResult& result);
 
-/// Run one scenario with a digest attached and fingerprint the result.
+/// Run one scenario with a digest attached and fingerprint the result
+/// (RunFingerprint, session.hpp).
 /// `sink`, when given, is attached to the run's trace bus — which arms the
 /// span layer and every probe. Tracing is digest-neutral by contract, so a
 /// fingerprint must not change between an unobserved and an armed run; the

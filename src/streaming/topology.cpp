@@ -93,6 +93,42 @@ std::vector<double> generate_arrivals(const ArrivalSchedule& schedule, std::size
   return arrivals;
 }
 
+namespace {
+
+/// SessionConfig::validate plus the rules of a shared world: the
+/// private-path-only machinery is refused, each diagnostic naming the
+/// topology-level replacement.
+void validate_shared_world_session(const SessionConfig& cfg) {
+  cfg.validate();
+  if (cfg.bandwidth_jitter > 0.0) {
+    throw std::invalid_argument{
+        "SessionConfig: bandwidth_jitter is the private-path stand-in for shared-link "
+        "contention and cannot compose with a topology attachment — the shared bottleneck "
+        "produces the contention for real; set bandwidth_jitter(0) on the session template "
+        "(TopologyBuilder's default)"};
+  }
+  if (cfg.store_trace || cfg.keep_full_trace || cfg.streaming_report) {
+    throw std::invalid_argument{
+        "SessionConfig: per-session capture and report machinery is private-path only — a "
+        "topology world samples its shared bottleneck instead of recording per-session "
+        "packets; disable store_trace/keep_full_trace/streaming_report on the session "
+        "template (TopologyBuilder's default)"};
+  }
+  if (cfg.trace_sink != nullptr || cfg.digest != nullptr || cfg.arena != nullptr) {
+    throw std::invalid_argument{
+        "SessionConfig: trace sinks, digests and arenas are per-world attachments — in a "
+        "topology they belong on TopologyConfig, not on the session template"};
+  }
+  if (!cfg.impairments.empty()) {
+    throw std::invalid_argument{
+        "SessionConfig: impairment windows are absolute world times, which a session "
+        "arriving mid-run cannot honour — fault the shared link via "
+        "TopologyConfig::bottleneck_impairments instead"};
+  }
+}
+
+}  // namespace
+
 void TopologyConfig::validate() const {
   if (sessions == 0) {
     throw std::invalid_argument{"TopologyConfig: at least one session required"};
@@ -106,9 +142,7 @@ void TopologyConfig::validate() const {
   if (warmup_s < 0.0 || warmup_s >= horizon_s) {
     throw std::invalid_argument{"TopologyConfig: warmup must lie inside [0, horizon)"};
   }
-  SessionConfig probe = session;
-  probe.topology_attached = true;
-  probe.validate();
+  validate_shared_world_session(session);
   arrivals.validate();
   bottleneck.validate();
   bottleneck_impairments.validate();
@@ -215,10 +249,9 @@ TopologyResult run_topology(const TopologyConfig& config) {
   for (std::size_t k = 0; k < arrivals.size(); ++k) {
     sim::Rng session_rng = session_parent.fork("session");
     SessionConfig cfg = config.session;
-    cfg.topology_attached = true;
     cfg.seed = session_rng.seed();
     if (config.customize) config.customize(k, session_rng, cfg);
-    cfg.validate();
+    validate_shared_world_session(cfg);
     slots.emplace_back(std::move(cfg), std::move(session_rng), arrivals[k]);
   }
 
@@ -305,7 +338,7 @@ TopologyResult run_topology(const TopologyConfig& config) {
   return result;
 }
 
-void fold_topology_outcome(check::StateDigest& digest, const TopologyResult& result) {
+void fold_outcome(check::StateDigest& digest, const TopologyResult& result) {
   digest.mix(static_cast<std::uint64_t>(result.sessions_started));
   digest.mix(static_cast<std::uint64_t>(result.sessions_finished));
   digest.mix(static_cast<std::uint64_t>(result.sessions_interrupted));
@@ -322,16 +355,16 @@ void fold_topology_outcome(check::StateDigest& digest, const TopologyResult& res
   digest.mix(result.sim_events);
 }
 
-TopologyFingerprint fingerprint_topology(const TopologyConfig& config) {
+RunFingerprint fingerprint_topology(const TopologyConfig& config) {
   check::StateDigest digest;
   TopologyConfig cfg = config;
   cfg.digest = &digest;
   const TopologyResult result = run_topology(cfg);
 
-  TopologyFingerprint fp;
+  RunFingerprint fp;
   fp.sim_events = result.sim_events;
   fp.bytes_downloaded = result.bytes_downloaded;
-  fold_topology_outcome(digest, result);
+  fold_outcome(digest, result);
   fp.digest = digest.value();
   fp.words_mixed = digest.words_mixed();
   return fp;

@@ -16,7 +16,7 @@
 // Determinism: everything derives from `TopologyConfig::seed` through
 // tagged forks in a fixed order, so twin runs fingerprint identically —
 // including across `--jobs` when sharded with
-// runner::run_topologies_streamed.
+// runner::run_worlds_streamed.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +74,9 @@ struct Workload {
 };
 
 struct TopologyConfig {
-  /// Per-session template; `run_topology` forces `topology_attached` and
-  /// validates it (which rejects the private-path-only knobs).
+  /// Per-session template. `validate()` rejects the private-path-only
+  /// knobs on it, and `run_topology` re-checks every admitted session
+  /// after `customize`.
   SessionConfig session;
   /// Maximum sessions to admit (arrival processes may produce fewer within
   /// the horizon).
@@ -159,25 +160,16 @@ struct TopologyResult {
 /// Run one multi-session world to its horizon. Memory is O(arrivals): a
 /// retired session keeps its (quiesced) machinery until the world ends, so
 /// size per-world session counts accordingly and shard bigger runs with
-/// runner::run_topologies_streamed.
+/// runner::run_worlds_streamed.
 [[nodiscard]] TopologyResult run_topology(const TopologyConfig& config);
 
 /// Fold the headline outcome into `digest` after the run — the topology
-/// counterpart of `fold_outcome` (scenarios.hpp), shared by the sweep
-/// digest so a divergence the event stream missed still flips the value.
-void fold_topology_outcome(check::StateDigest& digest, const TopologyResult& result);
+/// overload of `fold_outcome` (scenarios.hpp), shared by the sweep digest
+/// so a divergence the event stream missed still flips the value.
+void fold_outcome(check::StateDigest& digest, const TopologyResult& result);
 
 /// Run with a digest attached and fingerprint the result (event order +
 /// folded outcome). Twin configs must produce equal fingerprints.
-struct TopologyFingerprint {
-  std::uint64_t digest{0};
-  std::uint64_t words_mixed{0};
-  std::uint64_t sim_events{0};
-  std::uint64_t bytes_downloaded{0};
-
-  friend bool operator==(const TopologyFingerprint&, const TopologyFingerprint&) = default;
-};
-
-[[nodiscard]] TopologyFingerprint fingerprint_topology(const TopologyConfig& config);
+[[nodiscard]] RunFingerprint fingerprint_topology(const TopologyConfig& config);
 
 }  // namespace vstream::streaming

@@ -195,21 +195,19 @@ class WorkloadBuilder {
 /// setters shape the session *template*; the methods here shape the world.
 /// `seed`/`digest`/`arena` are shadowed deliberately: in a topology those
 /// are world-level attachments (TopologyConfig), and leaving them on the
-/// session template is exactly what `SessionConfig::validate()` rejects.
+/// session template is exactly what `TopologyConfig::validate()` rejects.
 class TopologyBuilder : public SessionConfigurator<TopologyBuilder> {
  public:
   TopologyBuilder() {
     // Topology-mode defaults: the shared link produces contention for real
     // (no jitter stand-in), and per-session capture/auxiliary machinery
     // stays off — an N=10k world samples its bottleneck instead.
-    cfg_.topology_attached = true;
     cfg_.bandwidth_jitter = 0.0;
     cfg_.auxiliary_traffic = false;
     cfg_.store_trace = false;
   }
   /// Start from an existing session template (e.g. a catalog scenario).
   explicit TopologyBuilder(SessionConfig base) : SessionConfigurator{std::move(base)} {
-    cfg_.topology_attached = true;
     cfg_.bandwidth_jitter = 0.0;
     cfg_.auxiliary_traffic = false;
     cfg_.store_trace = false;

@@ -1,8 +1,9 @@
 // Tests for the multi-session topology subsystem: builder validation
 // diagnostics, deterministic arrival processes, shared-bottleneck
-// contention, twin-run fingerprints (serial and sharded across workers),
-// and the §6.1 empirical-vs-analytical agreement that the aggregate model
-// rests on.
+// contention, twin-run fingerprints, and the §6.1 empirical-vs-analytical
+// agreement that the aggregate model rests on. The streamed topology sweep's
+// worker-count and sharding invariance lives in session_sweep_test, beside
+// the session sweep it shares its loop with.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +11,7 @@
 #include <string>
 
 #include "runner/parallel_sweep.hpp"
-#include "runner/topology_sweep.hpp"
+#include "runner/session_sweep.hpp"
 #include "streaming/session_builder.hpp"
 #include "streaming/topology.hpp"
 #include "streaming/topology_builder.hpp"
@@ -73,20 +74,6 @@ TEST(TopologyValidationTest, PerSessionCaptureExcludedFromTopologies) {
   auto b = small_world();
   b.store_trace(true);
   EXPECT_THROW((void)b.build(), std::invalid_argument);
-}
-
-TEST(TopologyValidationTest, RunSessionRejectsTopologyAttachedConfig) {
-  SessionConfig cfg = SessionBuilder{}
-                          .container(video::Container::kFlashHd)
-                          .application(Application::kFirefox)
-                          .vantage(net::Vantage::kResearch)
-                          .video(test_video())
-                          .bandwidth_jitter(0.0)
-                          .auxiliary_traffic(false)
-                          .store_trace(false)
-                          .build();
-  cfg.topology_attached = true;
-  EXPECT_THROW((void)run_session(cfg), std::invalid_argument);
 }
 
 TEST(TopologyValidationTest, SessionBuilderStillValidatesTheOldWay) {
@@ -237,8 +224,8 @@ TEST(TopologyDeterminismTest, TwinRunsFingerprintIdentically) {
                     .workload(WorkloadBuilder{}.poisson(1.0).build())
                     .bottleneck_rate_bps(10e6)
                     .build();
-  const TopologyFingerprint a = fingerprint_topology(config);
-  const TopologyFingerprint b = fingerprint_topology(config);
+  const RunFingerprint a = fingerprint_topology(config);
+  const RunFingerprint b = fingerprint_topology(config);
   EXPECT_EQ(a, b);
   EXPECT_GT(a.sim_events, 0u);
   EXPECT_GT(a.bytes_downloaded, 0u);
@@ -250,36 +237,6 @@ TEST(TopologyDeterminismTest, TwinRunsFingerprintIdentically) {
                       .seed(43)
                       .build();
   EXPECT_NE(fingerprint_topology(reseeded).digest, a.digest);
-}
-
-TEST(TopologyDeterminismTest, SweepDigestInvariantAcrossWorkerCounts) {
-  // ~1k sessions across 16 worlds: the sweep digest must be bit-identical
-  // whether the worlds run serially or on a pool of workers.
-  const auto make = [](std::size_t g) {
-    return small_world()
-        .sessions(64)
-        .video(test_video(4.0, 200e3))
-        .horizon_s(20.0)
-        .workload(WorkloadBuilder{}.poisson(8.0).build())
-        .bottleneck_rate_bps(400e6)
-        .seed(1000 + g)
-        .build();
-  };
-  const runner::ParallelSweep serial{1};
-  const runner::ParallelSweep pooled{4};
-  const auto a = runner::run_topologies_streamed(serial, 0, 16, make);
-  const auto b = runner::run_topologies_streamed(pooled, 0, 16, make);
-  EXPECT_EQ(a.digest, b.digest);
-  EXPECT_EQ(a.sessions_started, b.sessions_started);
-  EXPECT_EQ(a.bytes_downloaded, b.bytes_downloaded);
-  EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_GT(a.sessions_started, 900u);  // lambda*horizon = 160 expected per world
-
-  // Contiguous sharding must merge to the same digest.
-  auto first_half = runner::run_topologies_streamed(pooled, 0, 8, make);
-  const auto second_half = runner::run_topologies_streamed(pooled, 8, 8, make);
-  first_half.merge(second_half);
-  EXPECT_EQ(first_half.digest, a.digest);
 }
 
 // ------------------------------------------------------- model agreement §6.1
@@ -318,10 +275,9 @@ TEST(TopologyModelAgreementTest, EmpiricalMatchesClosedFormsAt10k) {
         .build();
   };
   const runner::ParallelSweep pool{0};  // hardware concurrency
-  const auto sweep = runner::run_topologies_streamed(pool, 0, 10, make);
+  const auto sweep = runner::run_worlds_streamed(pool, 0, 10, make);
 
   ASSERT_GE(sweep.sessions_started, 9000u);
-  EXPECT_EQ(sweep.bottleneck_dropped_loss, 0u);
 
   const model::AggregateParams params = sweep.measured_model_params();
   EXPECT_NEAR(params.lambda_per_s, 20.0, 2.0);

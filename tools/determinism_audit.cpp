@@ -43,7 +43,6 @@
 #include "obs/trace.hpp"
 #include "runner/parallel_sweep.hpp"
 #include "runner/session_sweep.hpp"
-#include "runner/topology_sweep.hpp"
 #include "sim/determinism_canary.hpp"
 #include "streaming/scenarios.hpp"
 #include "streaming/topology_builder.hpp"
@@ -118,43 +117,48 @@ int run_parallel_audit(double seconds, std::size_t jobs) {
   return divergent == 0 ? 0 : 1;
 }
 
-/// Sharded-sweep audit: the same catalog run through the streamed sweep
-/// (runner/session_sweep.hpp) three ways — serial, parallel, and split into
-/// `shards` contiguous slices merged back together. The order-independent
-/// sweep digest must be bit-identical across all three: that equality is
-/// what lets the capacity planner fan a million sessions across processes
-/// and still prove the merged run is the run it claims to be.
-int run_shard_audit(double seconds, std::size_t shards) {
-  const auto scenarios = audited_catalog(seconds);
-  const std::size_t n = scenarios.size();
-  const auto make = [&scenarios](std::size_t g) { return scenarios[g].config; };
-
-  const auto serial = vstream::runner::run_sessions_streamed(
-      vstream::runner::ParallelSweep{1}, 0, n, make);
-  const auto parallel = vstream::runner::run_sessions_streamed(
-      vstream::runner::ParallelSweep{4}, 0, n, make);
+/// Streamed-sweep audit, for either world kind: the same `count` worlds run
+/// through runner::run_worlds_streamed three ways — serial, on 4 workers,
+/// and split into `shards` contiguous slices (2 workers each) merged back
+/// together. The order-independent sweep digest must be bit-identical
+/// across all three: that equality is what lets the capacity planner fan a
+/// million sessions across processes and still prove the merged run is the
+/// run it claims to be. `unit` names what a world is in the printout.
+template <typename Make>
+bool audit_sweep(std::size_t count, std::size_t shards, const char* unit, const Make& make) {
+  using vstream::runner::ParallelSweep;
+  using vstream::runner::run_worlds_streamed;
+  const auto serial = run_worlds_streamed(ParallelSweep{1}, 0, count, make);
+  const auto parallel = run_worlds_streamed(ParallelSweep{4}, 0, count, make);
   vstream::runner::SweepAccumulator merged;
   for (std::size_t s = 0; s < shards; ++s) {
-    const std::size_t first = n * s / shards;
-    const std::size_t count = n * (s + 1) / shards - first;
-    merged.merge(vstream::runner::run_sessions_streamed(
-        vstream::runner::ParallelSweep{2}, first, count, make));
+    const std::size_t first = count * s / shards;
+    const std::size_t slice = count * (s + 1) / shards - first;
+    merged.merge(run_worlds_streamed(ParallelSweep{2}, first, slice, make));
   }
+  const auto print = [unit](const char* how, const vstream::runner::SweepAccumulator& acc,
+                            const std::string& note) {
+    std::printf("%s sweep digest %016llx over %llu %s%s\n", how,
+                static_cast<unsigned long long>(acc.digest.combined),
+                static_cast<unsigned long long>(acc.digest.sessions), unit, note.c_str());
+  };
+  print("serial  ", serial, "");
+  print("parallel", parallel, "");
+  print("sharded ", merged, " (" + std::to_string(shards) + " shards)");
+  return serial.digest == parallel.digest && serial.digest == merged.digest &&
+         serial.sessions_started == merged.sessions_started &&
+         serial.bytes_downloaded == merged.bytes_downloaded &&
+         serial.sim_events == merged.sim_events;
+}
 
-  std::printf("serial   digest %016llx over %llu sessions\n",
-              static_cast<unsigned long long>(serial.digest.combined),
-              static_cast<unsigned long long>(serial.digest.sessions));
-  std::printf("parallel digest %016llx over %llu sessions\n",
-              static_cast<unsigned long long>(parallel.digest.combined),
-              static_cast<unsigned long long>(parallel.digest.sessions));
-  std::printf("sharded  digest %016llx over %llu sessions (%zu shards)\n",
-              static_cast<unsigned long long>(merged.digest.combined),
-              static_cast<unsigned long long>(merged.digest.sessions), shards);
-  const bool ok = serial.digest == parallel.digest && serial.digest == merged.digest &&
-                  serial.sessions == merged.sessions &&
-                  serial.bytes_downloaded == merged.bytes_downloaded &&
-                  serial.sim_events == merged.sim_events;
-  std::printf("%zu scenarios: serial == parallel == sharded merge: %s\n", n,
+/// Sharded-sweep audit over the scenario catalog (one private session per
+/// world).
+int run_shard_audit(double seconds, std::size_t shards) {
+  const auto scenarios = audited_catalog(seconds);
+  const bool ok = audit_sweep(scenarios.size(), shards, "sessions", [&scenarios](std::size_t g) {
+    return scenarios[g].config;
+  });
+  std::printf("%zu scenarios: serial == parallel == sharded merge: %s\n", scenarios.size(),
               ok ? "ok" : "DIVERGED");
   return ok ? 0 : 1;
 }
@@ -253,38 +257,12 @@ int run_topology_audit(double seconds) {
   }
 
   // Streamed sweep: 12 worlds derived from the catalog by reseeding.
-  const auto base_catalog = topology_catalog(seconds);
-  const auto make = [&base_catalog](std::size_t g) {
-    auto cfg = base_catalog[g % base_catalog.size()].config;
+  constexpr std::size_t kWorlds = 12;
+  const bool sweep_ok = audit_sweep(kWorlds, 3, "worlds", [&catalog](std::size_t g) {
+    auto cfg = catalog[g % catalog.size()].config;
     cfg.seed += 1000 + g;
     return cfg;
-  };
-  constexpr std::size_t kWorlds = 12;
-  const auto serial =
-      runner::run_topologies_streamed(runner::ParallelSweep{1}, 0, kWorlds, make);
-  const auto parallel =
-      runner::run_topologies_streamed(runner::ParallelSweep{4}, 0, kWorlds, make);
-  runner::TopologyAccumulator merged;
-  constexpr std::size_t kShards = 3;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const std::size_t first_idx = kWorlds * s / kShards;
-    const std::size_t count = kWorlds * (s + 1) / kShards - first_idx;
-    merged.merge(
-        runner::run_topologies_streamed(runner::ParallelSweep{2}, first_idx, count, make));
-  }
-  std::printf("serial   sweep digest %016llx over %llu worlds\n",
-              static_cast<unsigned long long>(serial.digest.combined),
-              static_cast<unsigned long long>(serial.worlds));
-  std::printf("parallel sweep digest %016llx over %llu worlds\n",
-              static_cast<unsigned long long>(parallel.digest.combined),
-              static_cast<unsigned long long>(parallel.worlds));
-  std::printf("sharded  sweep digest %016llx over %llu worlds (%zu shards)\n",
-              static_cast<unsigned long long>(merged.digest.combined),
-              static_cast<unsigned long long>(merged.worlds), kShards);
-  const bool sweep_ok = serial.digest == parallel.digest && serial.digest == merged.digest &&
-                        serial.sessions_started == merged.sessions_started &&
-                        serial.bytes_downloaded == merged.bytes_downloaded &&
-                        serial.sim_events == merged.sim_events;
+  });
   if (!sweep_ok) ++divergent;
   std::printf("%zu topology worlds + %zu-world sweep, %d divergent: %s\n", catalog.size(),
               kWorlds, divergent, divergent == 0 ? "ok" : "DIVERGED");
