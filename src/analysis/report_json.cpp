@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/trace.hpp"
+
 namespace vstream::analysis {
 namespace {
 
@@ -28,45 +30,12 @@ void append_optional(std::ostringstream& out, const std::optional<T>& v) {
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string to_json(const SessionReport& report) {
   std::ostringstream out;
   out << "{";
-  out << "\"label\":\"" << json_escape(report.label) << "\",";
+  out << "\"label\":\"" << obs::json_escape(report.label) << "\",";
   out << "\"strategy\":\"" << to_string(report.strategy) << "\",";
-  out << "\"rationale\":\"" << json_escape(report.rationale) << "\",";
+  out << "\"rationale\":\"" << obs::json_escape(report.rationale) << "\",";
   out << "\"buffering_end_s\":";
   append_number(out, report.buffering_end_s);
   out << ",\"buffering_mb\":";

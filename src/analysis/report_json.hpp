@@ -22,7 +22,4 @@ namespace vstream::analysis {
 /// Render a flow table as a JSON array of flow objects.
 [[nodiscard]] std::string to_json(const FlowTable& table);
 
-/// Escape a string for inclusion in JSON output.
-[[nodiscard]] std::string json_escape(const std::string& s);
-
 }  // namespace vstream::analysis

@@ -22,17 +22,6 @@ Link::Link(sim::Simulator& sim, Config config, std::unique_ptr<LossModel> loss, 
   }
 }
 
-void Link::emit_fault_event(ImpairmentKind kind, bool begin) {
-  if (obs::ObsContext* obs = sim_.obs(); obs != nullptr && obs->trace().active()) {
-    obs::LinkFault ev;
-    ev.t_s = sim_.now().to_seconds();
-    ev.kind = to_string(kind);
-    ev.begin = begin;
-    ev.rate_factor = blackout_active() ? 0.0 : rate_factor_;
-    obs->trace().emit(ev);
-  }
-}
-
 void Link::apply_window(const ImpairmentWindow& window, bool begin) {
   switch (window.kind) {
     case ImpairmentKind::kRateScale:
@@ -56,7 +45,6 @@ void Link::apply_window(const ImpairmentWindow& window, bool begin) {
     ++counters_.fault_windows;
     if (ctr_fault_windows_ != nullptr) ctr_fault_windows_->inc();
   }
-  emit_fault_event(window.kind, begin);
   obs::Span& span = fault_spans_[static_cast<std::size_t>(window.kind)];
   if (begin) {
     if (!span.active()) {

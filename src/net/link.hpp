@@ -94,7 +94,6 @@ class Link {
  private:
   void notify(const TcpSegment& segment, LinkEvent event);
   void apply_window(const ImpairmentWindow& window, bool begin);
-  void emit_fault_event(ImpairmentKind kind, bool begin);
 
   sim::Simulator& sim_;
   Config config_;

@@ -40,16 +40,6 @@ const char* tid_name(std::uint32_t tid) {
   }
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 /// Sim-time seconds -> trace microseconds, fixed formatting so golden-file
 /// tests are byte-stable across platforms.
 std::string us(double seconds) {
@@ -72,7 +62,6 @@ void ChromeTraceWriter::push(const std::string& row, std::uint32_t tid) {
 }
 
 void ChromeTraceWriter::add(const TraceEvent& event) {
-  std::ostringstream o;
   const std::string pid = std::to_string(pid_);
   struct Renderer {
     ChromeTraceWriter& w;
@@ -81,14 +70,14 @@ void ChromeTraceWriter::add(const TraceEvent& event) {
     void instant(std::uint32_t tid, const std::string& name, const std::string& args,
                  double t_s) const {
       w.push("{\"ph\":\"i\",\"pid\":" + pid + ",\"tid\":" + std::to_string(tid) + ",\"ts\":" +
-                 us(t_s) + ",\"s\":\"t\",\"name\":\"" + escape(name) + "\",\"args\":{" + args +
+                 us(t_s) + ",\"s\":\"t\",\"name\":\"" + json_escape(name) + "\",\"args\":{" + args +
                  "}}",
              tid);
     }
     void counter(std::uint32_t tid, const std::string& name, const std::string& args,
                  double t_s) const {
       w.push("{\"ph\":\"C\",\"pid\":" + pid + ",\"tid\":" + std::to_string(tid) + ",\"ts\":" +
-                 us(t_s) + ",\"name\":\"" + escape(name) + "\",\"args\":{" + args + "}}",
+                 us(t_s) + ",\"name\":\"" + json_escape(name) + "\",\"args\":{" + args + "}}",
              tid);
     }
 
@@ -96,10 +85,10 @@ void ChromeTraceWriter::add(const TraceEvent& event) {
       const std::uint32_t tid = tid_for(e.category);
       const std::string id = std::to_string(e.span_id);
       const std::string head = ",\"pid\":" + pid + ",\"tid\":" + std::to_string(tid) +
-                               ",\"cat\":\"" + escape(e.category) + "\",\"id\":" + id +
-                               ",\"name\":\"" + escape(e.name) + "\"";
+                               ",\"cat\":\"" + json_escape(e.category) + "\",\"id\":" + id +
+                               ",\"name\":\"" + json_escape(e.name) + "\"";
       w.push("{\"ph\":\"b\"" + head + ",\"ts\":" + us(e.t_begin_s) + ",\"args\":{\"detail\":\"" +
-                 escape(e.detail) + "\",\"domain_id\":" + std::to_string(e.id) +
+                 json_escape(e.detail) + "\",\"domain_id\":" + std::to_string(e.id) +
                  ",\"depth\":" + std::to_string(e.depth) + "}}",
              tid);
       if (e.t_mark_s >= 0.0) {
@@ -124,27 +113,6 @@ void ChromeTraceWriter::add(const TraceEvent& event) {
       instant(kTidPacing, e.initial_burst ? "initial_burst" : "pacing_block",
               "\"conn\":" + std::to_string(e.connection_id) + ",\"bytes\":" +
                   std::to_string(e.bytes),
-              e.t_s);
-    }
-    void operator()(const PlayerStall& e) const {
-      instant(kTidPlayer, "stall", "\"stalls\":" + std::to_string(e.stall_count), e.t_s);
-    }
-    void operator()(const PlayerInterrupt& e) const {
-      instant(kTidPlayer, "interrupt", "\"watched_s\":" + number(e.watched_s), e.t_s);
-    }
-    void operator()(const ZeroWindowEpisode&) const {
-      // Rendered by the retro-emitted "zero_window" span instead; keeping
-      // both would draw the episode twice.
-    }
-    void operator()(const LinkFault& e) const {
-      instant(kTidLink, "fault_" + e.kind + (e.begin ? "_begin" : "_end"),
-              "\"rate_factor\":" + number(e.rate_factor), e.t_s);
-    }
-    void operator()(const FetchRetry& e) const {
-      instant(kTidFetch, e.gave_up ? "fetch_abandoned" : "fetch_retry",
-              "\"attempt\":" + std::to_string(e.attempt) + ",\"backoff_s\":" +
-                  number(e.backoff_s) + ",\"remaining_bytes\":" +
-                  std::to_string(e.remaining_bytes),
               e.t_s);
     }
   };

@@ -3,17 +3,16 @@
 // `ChromeTraceWriter` converts typed `TraceEvent`s into trace-event JSON
 // (the `{"traceEvents":[...]}` format chrome://tracing and
 // https://ui.perfetto.dev load natively): span records become async
-// begin/end pairs on per-subsystem tracks, cwnd and sim-loop samples become
-// counter tracks, and the point probes (stalls, retries, fault edges,
-// pacing blocks) become instants. Sim-time seconds map to trace
-// microseconds. `ZeroWindowEpisode` point events are skipped — the
-// TCP endpoint retro-emits the same episode as a span, which renders as a
-// proper slice instead.
+// begin/end pairs on per-subsystem tracks (stalls, zero-window stretches,
+// fault windows and retry backoffs included: every episode is a span),
+// cwnd and sim-loop samples become counter tracks, and pacing blocks
+// become instants. Sim-time seconds map to trace microseconds.
 //
 // `ChromeTraceSink` plugs the writer into a `TraceBus` and writes the JSON
 // file once, on close() or destruction. Wire it up with the `--trace-out`
 // flag on the examples, or convert a JSONL capture offline with
-// `tools/trace_export`.
+// `tools/trace_export`: the JSONL form round-trips exactly, so both paths
+// render byte-identical JSON.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -23,25 +24,19 @@ FlightRecorder::~FlightRecorder() {
 void FlightRecorder::on_event(const TraceEvent& event) {
   if (ring_.size() == options_.capacity) ring_.pop_front();
   ring_.push_back(event);
-  if (options_.dump_on_abandon) {
-    if (const auto* retry = std::get_if<FetchRetry>(&event); retry != nullptr && retry->gave_up) {
-      dump("fetch abandoned after attempt " + std::to_string(retry->attempt));
-    }
+  const auto* span = std::get_if<SpanRecord>(&event);
+  if (span == nullptr || span->category != "fetch") return;
+  if (span->name == "retry_backoff") {
+    max_retry_attempt_ = std::max(max_retry_attempt_, span->id);
+  } else if (options_.dump_on_abandon && span->detail == "abandoned") {
+    dump("fetch abandoned after attempt " + std::to_string(max_retry_attempt_));
   }
 }
 
 void FlightRecorder::dump(const std::string& reason) {
   ++dumps_;
-  std::string header = "{\"type\":\"flight_dump\",\"reason\":\"";
-  for (const char c : reason) {
-    if (c == '"' || c == '\\') header += '\\';
-    if (c == '\n') {
-      header += ' ';
-      continue;
-    }
-    header += c;
-  }
-  header += "\",\"events\":" + std::to_string(ring_.size()) + "}";
+  const std::string header = "{\"type\":\"flight_dump\",\"reason\":\"" + json_escape(reason) +
+                             "\",\"events\":" + std::to_string(ring_.size()) + "}";
 
   if (options_.dump_path.empty()) {
     std::fprintf(stderr, "%s\n", header.c_str());

@@ -1,7 +1,8 @@
 // Flight recorder: a bounded ring of recent trace events that dumps its
 // tail the moment something goes wrong — a `VSTREAM_*` contract firing or a
-// fetch exhausting its retry budget — so post-mortems get the last N
-// episodes without paying for full-run JSONL capture.
+// fetch exhausting its retry budget (its span closing "abandoned") — so
+// post-mortems get the last N episodes without paying for full-run JSONL
+// capture.
 //
 // The contract trigger uses `check::set_violation_hook`, which is
 // thread-local: construct the recorder on the thread that runs the world it
@@ -25,7 +26,7 @@ class FlightRecorder final : public TraceSink {
   struct Options {
     std::size_t capacity{256};     ///< events retained; older ones fall off
     std::string dump_path;         ///< dump target; empty = stderr
-    bool dump_on_abandon{true};    ///< FetchRetry{gave_up} triggers a dump
+    bool dump_on_abandon{true};    ///< a fetch span closing "abandoned" triggers a dump
     bool arm_contract_hook{true};  ///< dump when a VSTREAM_* contract fires
   };
 
@@ -50,6 +51,11 @@ class FlightRecorder final : public TraceSink {
   std::size_t dumps_{0};
   check::ViolationHook previous_hook_;
   bool hook_armed_{false};
+  /// Highest attempt among "retry_backoff" spans (id = attempt). A fetch
+  /// gives up only once it has spent the retry budget its world's fetches
+  /// share, so this is the abandoning fetch's attempt count (0 when the
+  /// budget allows no retry) even while other fetches retry concurrently.
+  std::uint64_t max_retry_attempt_{0};
 };
 
 }  // namespace vstream::obs

@@ -1,11 +1,12 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/trace.hpp"
 
 namespace vstream::obs {
 
@@ -109,12 +110,7 @@ void append_double(std::ostringstream& out, double v) {
 }
 
 void append_quoted(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
+  out << '"' << json_escape(s) << '"';
 }
 
 }  // namespace
@@ -166,140 +162,6 @@ std::string MetricsSnapshot::to_json() const {
   }
   out << "}}";
   return out.str();
-}
-
-// --------------------------------------------------------------- JSON parse
-//
-// A minimal recursive-descent reader for the subset `to_json` emits (string
-// keys, numbers, nested objects, flat numeric arrays). Kept here so tests
-// and tooling can round-trip snapshots without an external JSON dependency.
-
-namespace {
-
-class Reader {
- public:
-  explicit Reader(const std::string& text) : s_{text} {}
-
-  void ws() {
-    while (i_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[i_])) != 0) ++i_;
-  }
-
-  void expect(char c) {
-    ws();
-    if (i_ >= s_.size() || s_[i_] != c) {
-      throw std::runtime_error{"parse_snapshot: expected '" + std::string{c} + "' at offset " +
-                               std::to_string(i_)};
-    }
-    ++i_;
-  }
-
-  [[nodiscard]] bool peek(char c) {
-    ws();
-    return i_ < s_.size() && s_[i_] == c;
-  }
-
-  bool consume(char c) {
-    if (!peek(c)) return false;
-    ++i_;
-    return true;
-  }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      if (s_[i_] == '\\' && i_ + 1 < s_.size()) ++i_;
-      out += s_[i_++];
-    }
-    expect('"');
-    return out;
-  }
-
-  double number() {
-    ws();
-    if (s_.compare(i_, 4, "null") == 0) {
-      i_ += 4;
-      return 0.0;
-    }
-    std::size_t used = 0;
-    double v = 0.0;
-    try {
-      v = std::stod(s_.substr(i_), &used);
-    } catch (const std::exception&) {
-      throw std::runtime_error{"parse_snapshot: bad number at offset " + std::to_string(i_)};
-    }
-    i_ += used;
-    return v;
-  }
-
-  std::vector<double> number_array() {
-    std::vector<double> out;
-    expect('[');
-    if (consume(']')) return out;
-    do {
-      out.push_back(number());
-    } while (consume(','));
-    expect(']');
-    return out;
-  }
-
- private:
-  const std::string& s_;
-  std::size_t i_{0};
-};
-
-}  // namespace
-
-MetricsSnapshot parse_snapshot(const std::string& json) {
-  MetricsSnapshot snap;
-  Reader r{json};
-  r.expect('{');
-  if (r.consume('}')) return snap;
-  do {
-    const std::string section = r.string();
-    r.expect(':');
-    r.expect('{');
-    if (r.consume('}')) continue;
-    do {
-      const std::string name = r.string();
-      r.expect(':');
-      if (section == "counters") {
-        snap.counters[name] = static_cast<std::uint64_t>(r.number());
-      } else if (section == "gauges") {
-        snap.gauges[name] = r.number();
-      } else if (section == "histograms") {
-        MetricsSnapshot::HistogramData h;
-        r.expect('{');
-        do {
-          const std::string field = r.string();
-          r.expect(':');
-          if (field == "bounds") {
-            h.bounds = r.number_array();
-          } else if (field == "counts") {
-            for (const double c : r.number_array()) {
-              h.counts.push_back(static_cast<std::uint64_t>(c));
-            }
-          } else if (field == "count") {
-            h.count = static_cast<std::uint64_t>(r.number());
-          } else if (field == "sum") {
-            h.sum = r.number();
-          } else if (field == "p50" || field == "p90" || field == "p99") {
-            // Derived tails; recomputed from the buckets on re-emission.
-            static_cast<void>(r.number());
-          } else {
-            throw std::runtime_error{"parse_snapshot: unknown histogram field " + field};
-          }
-        } while (r.consume(','));
-        r.expect('}');
-        snap.histograms.emplace(name, std::move(h));
-      } else {
-        throw std::runtime_error{"parse_snapshot: unknown section " + section};
-      }
-    } while (r.consume(','));
-    r.expect('}');
-  } while (r.consume(','));
-  r.expect('}');
-  return snap;
 }
 
 }  // namespace vstream::obs

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -13,7 +14,7 @@ namespace {
 void field(std::ostringstream& out, const char* key, double v) {
   char buf[64];
   if (std::isfinite(v)) {
-    std::snprintf(buf, sizeof buf, "%.9g", v);
+    std::snprintf(buf, sizeof buf, "%.17g", v);  // enough digits to round-trip
   } else {
     std::snprintf(buf, sizeof buf, "null");
   }
@@ -25,12 +26,7 @@ void field(std::ostringstream& out, const char* key, std::uint64_t v) {
 }
 
 void field(std::ostringstream& out, const char* key, const std::string& v) {
-  out << ",\"" << key << "\":\"";
-  for (const char c : v) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
+  out << ",\"" << key << "\":\"" << json_escape(v) << '"';
 }
 
 struct JsonlWriter {
@@ -60,33 +56,6 @@ struct JsonlWriter {
     field(out, "bytes", e.bytes);
     field(out, "initial_burst", static_cast<std::uint64_t>(e.initial_burst ? 1 : 0));
   }
-  void operator()(const PlayerStall& e) const {
-    field(out, "t", e.t_s);
-    field(out, "stalls", static_cast<std::uint64_t>(e.stall_count));
-  }
-  void operator()(const PlayerInterrupt& e) const {
-    field(out, "t", e.t_s);
-    field(out, "watched_s", e.watched_s);
-  }
-  void operator()(const ZeroWindowEpisode& e) const {
-    field(out, "t", e.t_s);
-    field(out, "conn", e.connection_id);
-    field(out, "endpoint", e.endpoint);
-    field(out, "duration_s", e.duration_s);
-  }
-  void operator()(const LinkFault& e) const {
-    field(out, "t", e.t_s);
-    field(out, "kind", e.kind);
-    field(out, "begin", static_cast<std::uint64_t>(e.begin ? 1 : 0));
-    field(out, "rate_factor", e.rate_factor);
-  }
-  void operator()(const FetchRetry& e) const {
-    field(out, "t", e.t_s);
-    field(out, "attempt", static_cast<std::uint64_t>(e.attempt));
-    field(out, "backoff_s", e.backoff_s);
-    field(out, "remaining_bytes", e.remaining_bytes);
-    field(out, "gave_up", static_cast<std::uint64_t>(e.gave_up ? 1 : 0));
-  }
   void operator()(const SpanRecord& e) const {
     field(out, "t", e.t_end_s);
     field(out, "begin_s", e.t_begin_s);
@@ -107,11 +76,6 @@ const char* event_type(const TraceEvent& event) {
     const char* operator()(const TcpCwndSample&) const { return "tcp_cwnd"; }
     const char* operator()(const SimLoopSample&) const { return "sim_loop"; }
     const char* operator()(const PacingBlockEmitted&) const { return "pacing_block"; }
-    const char* operator()(const PlayerStall&) const { return "player_stall"; }
-    const char* operator()(const PlayerInterrupt&) const { return "player_interrupt"; }
-    const char* operator()(const ZeroWindowEpisode&) const { return "zero_window"; }
-    const char* operator()(const LinkFault&) const { return "link_fault"; }
-    const char* operator()(const FetchRetry&) const { return "fetch_retry"; }
     const char* operator()(const SpanRecord&) const { return "span"; }
   };
   return std::visit(Namer{}, event);
@@ -140,11 +104,11 @@ std::size_t value_offset(const std::string& line, const std::string& key) {
 std::optional<double> jsonl_number(const std::string& line, const std::string& key) {
   const std::size_t at = value_offset(line, key);
   if (at == std::string::npos) return std::nullopt;
-  try {
-    return std::stod(line.substr(at));
-  } catch (const std::exception&) {
+  double v = 0.0;
+  if (std::from_chars(line.data() + at, line.data() + line.size(), v).ec != std::errc{}) {
     return std::nullopt;
   }
+  return v;
 }
 
 std::optional<std::string> jsonl_string(const std::string& line, const std::string& key) {
@@ -153,8 +117,55 @@ std::optional<std::string> jsonl_string(const std::string& line, const std::stri
   ++at;
   std::string out;
   while (at < line.size() && line[at] != '"') {
-    if (line[at] == '\\' && at + 1 < line.size()) ++at;
-    out += line[at++];
+    if (line[at] != '\\') {
+      out += line[at++];
+      continue;
+    }
+    if (++at >= line.size()) return std::nullopt;
+    switch (line[at++]) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        // json_escape writes \u00XX for the remaining control characters.
+        unsigned code = 0;
+        const char* digits = line.data() + at;
+        if (line.size() - at < 4 ||
+            std::from_chars(digits, digits + 4, code, 16).ptr != digits + 4 || code > 0x7f) {
+          return std::nullopt;
+        }
+        out += static_cast<char>(code);
+        at += 4;
+        break;
+      }
+      default: return std::nullopt;
+    }
+  }
+  if (at >= line.size()) return std::nullopt;  // unterminated
+  return out;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
   }
   return out;
 }
@@ -165,8 +176,15 @@ double num(const std::string& line, const char* key, double fallback = 0.0) {
   return jsonl_number(line, key).value_or(fallback);
 }
 
+/// Integer fields parse as integers: a double would round anything above
+/// 2^53, such as the 2^62-1 "infinite" ssthresh.
 std::uint64_t unum(const std::string& line, const char* key) {
-  return static_cast<std::uint64_t>(jsonl_number(line, key).value_or(0.0));
+  const std::size_t at = value_offset(line, key);
+  std::uint64_t v = 0;
+  if (at != std::string::npos) {
+    (void)std::from_chars(line.data() + at, line.data() + line.size(), v);
+  }
+  return v;
 }
 
 std::string str(const std::string& line, const char* key) {
@@ -206,43 +224,6 @@ std::optional<TraceEvent> from_jsonl(const std::string& line) {
     e.connection_id = unum(line, "conn");
     e.bytes = unum(line, "bytes");
     e.initial_burst = unum(line, "initial_burst") != 0;
-    return TraceEvent{e};
-  }
-  if (*type == "player_stall") {
-    PlayerStall e;
-    e.t_s = num(line, "t");
-    e.stall_count = static_cast<std::uint32_t>(unum(line, "stalls"));
-    return TraceEvent{e};
-  }
-  if (*type == "player_interrupt") {
-    PlayerInterrupt e;
-    e.t_s = num(line, "t");
-    e.watched_s = num(line, "watched_s");
-    return TraceEvent{e};
-  }
-  if (*type == "zero_window") {
-    ZeroWindowEpisode e;
-    e.t_s = num(line, "t");
-    e.connection_id = unum(line, "conn");
-    e.endpoint = str(line, "endpoint");
-    e.duration_s = num(line, "duration_s");
-    return TraceEvent{e};
-  }
-  if (*type == "link_fault") {
-    LinkFault e;
-    e.t_s = num(line, "t");
-    e.kind = str(line, "kind");
-    e.begin = unum(line, "begin") != 0;
-    e.rate_factor = num(line, "rate_factor", 1.0);
-    return TraceEvent{e};
-  }
-  if (*type == "fetch_retry") {
-    FetchRetry e;
-    e.t_s = num(line, "t");
-    e.attempt = static_cast<std::uint32_t>(unum(line, "attempt"));
-    e.backoff_s = num(line, "backoff_s");
-    e.remaining_bytes = unum(line, "remaining_bytes");
-    e.gave_up = unum(line, "gave_up") != 0;
     return TraceEvent{e};
   }
   if (*type == "span") {

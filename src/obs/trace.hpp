@@ -1,11 +1,17 @@
 // Typed trace bus: in-sim probe events and pluggable sinks.
 //
-// Instrumented components emit small typed records (TCP congestion state,
-// simulator-loop health, pacing blocks, player stalls, zero-window
-// episodes) through the world's `TraceBus`. When no sink is attached the
+// Instrumented components emit small typed records through the world's
+// `TraceBus`: three sample types (TCP congestion state, simulator-loop
+// health, pacing blocks) and `SpanRecord`, the one record of an episode —
+// a buffering phase, a stall, a zero-window stretch, a fault window, a
+// fetch and its retry backoffs (span.hpp). When no sink is attached the
 // probes compile down to a single empty-vector check, so the instrumented
 // hot paths stay cheap. Sinks: a JSONL file writer (one event object per
 // line, machine-parsable) and a bounded ring buffer for tests.
+//
+// The JSONL form round-trips exactly: doubles are written with 17
+// significant digits and integers are parsed as integers, so
+// `from_jsonl(to_jsonl(e))` reproduces every field bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -50,49 +56,10 @@ struct PacingBlockEmitted {
   bool initial_burst{false};
 };
 
-/// Player buffer ran dry mid-playback.
-struct PlayerStall {
-  double t_s{0.0};
-  std::uint32_t stall_count{0};  ///< cumulative, including this one
-};
-
-/// Viewer abandoned the session (lack of interest, beta in Section 6.2).
-struct PlayerInterrupt {
-  double t_s{0.0};
-  double watched_s{0.0};
-};
-
-/// A receiver's advertised window sat at zero from `t_s - duration_s` to
-/// `t_s` (episode emitted when the window reopens).
-struct ZeroWindowEpisode {
-  double t_s{0.0};
-  std::uint64_t connection_id{0};
-  std::string endpoint;
-  double duration_s{0.0};
-};
-
-/// An impairment window opened (`begin`) or closed on a link (fault
-/// injection, see net/dynamics.hpp).
-struct LinkFault {
-  double t_s{0.0};
-  std::string kind;  ///< "rate_scale" | "delay_spike" | "burst_loss" | "blackout"
-  bool begin{true};
-  double rate_factor{1.0};  ///< effective serialisation-rate factor after the transition
-};
-
-/// A fetch hit its no-progress timeout and is being retried on a fresh
-/// connection after an exponential backoff (streaming/fetch resilience).
-struct FetchRetry {
-  double t_s{0.0};
-  std::uint32_t attempt{0};      ///< 1 for the first retry
-  double backoff_s{0.0};         ///< wait before the reissue
-  std::uint64_t remaining_bytes{0};
-  bool gave_up{false};           ///< retry budget exhausted; fetch abandoned
-};
-
 /// A closed episode span from the `obs::SpanTracer` layer (span.hpp):
-/// fetch lifecycle, player phases, TCP recovery, fault windows. Emitted
-/// once, when the span closes (or is truncated at teardown).
+/// fetch lifecycle and retry backoffs, player phases and stalls, TCP
+/// recovery and zero-window stretches, link fault windows. Emitted once,
+/// when the span closes (or is truncated at teardown).
 struct SpanRecord {
   double t_begin_s{0.0};
   double t_end_s{0.0};
@@ -105,9 +72,7 @@ struct SpanRecord {
   std::string detail;  ///< outcome: "complete", "stalled", "capture_end", ...
 };
 
-using TraceEvent = std::variant<TcpCwndSample, SimLoopSample, PacingBlockEmitted, PlayerStall,
-                                PlayerInterrupt, ZeroWindowEpisode, LinkFault, FetchRetry,
-                                SpanRecord>;
+using TraceEvent = std::variant<TcpCwndSample, SimLoopSample, PacingBlockEmitted, SpanRecord>;
 
 /// Stable type tag used as the JSONL "type" field.
 [[nodiscard]] const char* event_type(const TraceEvent& event);
@@ -124,9 +89,16 @@ using TraceEvent = std::variant<TcpCwndSample, SimLoopSample, PacingBlockEmitted
 /// Cheap string scan sufficient for the flat objects `to_jsonl` writes.
 [[nodiscard]] std::optional<double> jsonl_number(const std::string& line, const std::string& key);
 
-/// Pull one string field out of a JSONL event line.
+/// Pull one string field out of a JSONL event line, decoding exactly the
+/// escapes `json_escape` writes.
 [[nodiscard]] std::optional<std::string> jsonl_string(const std::string& line,
                                                       const std::string& key);
+
+/// Escape `s` for a JSON string body: quote, backslash, and every control
+/// character (\n, \r, \t by name, the rest as \u00XX), so an escaped
+/// value never breaks a JSONL line. The one JSON string escaper of the
+/// project.
+[[nodiscard]] std::string json_escape(const std::string& s);
 
 class TraceSink {
  public:

@@ -164,28 +164,19 @@ void FetchManager::abandon_connection(Fetch& fetch) {
   fetch.connection = nullptr;
 }
 
-void FetchManager::emit_retry_event(const Fetch& fetch, double backoff_s, bool gave_up) {
-  if (obs::ObsContext* obs = sim_.obs(); obs != nullptr && obs->trace().active()) {
-    obs::FetchRetry ev;
-    ev.t_s = sim_.now().to_seconds();
-    ev.attempt = fetch.attempts;
-    ev.backoff_s = backoff_s;
-    ev.remaining_bytes = fetch.expected_body - fetch.body_delivered;
-    ev.gave_up = gave_up;
-    obs->trace().emit(ev);
-  }
-}
-
 void FetchManager::schedule_retry(Fetch& fetch) {
   ++fetch.attempts;
   ++retries_;
   if (ctr_retries_ != nullptr) ctr_retries_->inc();
   const sim::Duration backoff = retry_.backoff_for(fetch.attempts);
-  emit_retry_event(fetch, backoff.to_seconds(), false);
+  fetch.backoff_span =
+      obs::open_span(sim_, obs::SpanCategory::kFetch, "retry_backoff", fetch.attempts);
   if (on_retry_) on_retry_(fetch.attempts);
   Fetch* raw = &fetch;
   sim_.schedule_after(backoff, [this, raw] {
-    if (stopped_ || raw->done) return;
+    const bool cancelled = stopped_ || raw->done;
+    raw->backoff_span.close(cancelled ? "cancelled" : "reissued");
+    if (cancelled) return;
     if (raw->persistent) {
       reopen_persistent();
     } else {
@@ -256,7 +247,6 @@ void FetchManager::reopen_persistent() {
 /// Retry budget exhausted: complete the fetch short so the client moves on.
 void FetchManager::give_up(Fetch& fetch) {
   ++abandoned_;
-  emit_retry_event(fetch, 0.0, true);
   fetch.span.close("abandoned");
   finish(fetch);
 }

@@ -86,6 +86,9 @@ class FetchManager {
     /// retries, so its duration covers backoffs and reissues too. Inert
     /// when the world runs unobserved.
     obs::Span span;
+    /// The current retry's backoff wait (id = attempt), closed when the
+    /// reissue fires.
+    obs::Span backoff_span;
   };
 
   void start_fetch(tcp::Connection& conn, std::unique_ptr<VideoStreamServer> server,
@@ -99,7 +102,6 @@ class FetchManager {
   void reopen_persistent();
   void give_up(Fetch& fetch);
   void finish(Fetch& fetch);
-  void emit_retry_event(const Fetch& fetch, double backoff_s, bool gave_up);
 
   sim::Simulator& sim_;
   tcp::Fabric& fabric_;

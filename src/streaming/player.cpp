@@ -68,9 +68,6 @@ void Player::interrupt() {
   stats_.interrupted_at_s = sim_.now().to_seconds();
   phase_span_.close("interrupted");
   if (ctr_interrupts_ != nullptr) ctr_interrupts_->inc();
-  if (obs::ObsContext* obs = sim_.obs(); obs != nullptr && obs->trace().active()) {
-    obs->trace().emit(obs::PlayerInterrupt{sim_.now().to_seconds(), stats_.watched_s});
-  }
   if (on_interrupt_) on_interrupt_();
 }
 
@@ -98,9 +95,6 @@ void Player::tick() {
                                    stats_.stall_count);
     }
     if (ctr_stalls_ != nullptr) ctr_stalls_->inc();
-    if (obs::ObsContext* obs = sim_.obs(); obs != nullptr && obs->trace().active()) {
-      obs->trace().emit(obs::PlayerStall{sim_.now().to_seconds(), stats_.stall_count});
-    }
     playing_ = false;  // re-enter via the startup threshold
     return;
   }

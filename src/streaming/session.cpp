@@ -195,8 +195,7 @@ SessionResult run_session(const SessionConfig& cfg) {
   result.resilience = outcome.resilience;
   result.interrupted_at_s = outcome.interrupted_at_s;
   result.bytes_downloaded = outcome.bytes_downloaded;
-  result.connections = cfg.store_trace ? result.video_trace().connection_count()
-                                       : (result.report ? result.report->connections : 0);
+  result.connections = outcome.connections;
   result.metrics = w.obs.metrics().snapshot();
   result.sim_events = w.sim.events_processed();
   result.sim_max_events_pending = w.sim.max_events_pending();

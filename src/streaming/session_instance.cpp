@@ -229,7 +229,10 @@ SessionOutcome SessionInstance::finalize() {
 
   outcome.player = player_->stats();
   outcome.bytes_downloaded = bytes_downloaded();
-  outcome.connections = fabric_.connection_count();
+  // The session's own video connections; the fabric's count would also
+  // include auxiliary-host connections.
+  outcome.connections =
+      (conn_ != nullptr ? 1 : 0) + (fetches_ ? fetches_->connections_opened() : 0);
   outcome.encoding_bps_true = player_rate_bps_;
   outcome.interrupted_at_s = outcome.player.interrupted ? outcome.player.interrupted_at_s : 0.0;
   outcome.started_at_s = started_at_s_;

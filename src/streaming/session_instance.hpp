@@ -52,7 +52,7 @@ struct SessionOutcome {
   PlayerStats player;
   analysis::ResilienceStats resilience;
   std::uint64_t bytes_downloaded{0};
-  std::size_t connections{0};  ///< all connections on the session's fabric
+  std::size_t connections{0};  ///< video connections the session opened
   double encoding_bps_true{0.0};
   double encoding_bps_estimated{0.0};
   double interrupted_at_s{0.0};  ///< 0 when not interrupted

@@ -132,16 +132,8 @@ void Endpoint::note_advertised_window(std::uint64_t window_bytes) {
     advertising_zero_window_ = false;
     const double duration_s = (sim_.now() - zero_window_since_).to_seconds();
     stats_.zero_window_total_s += duration_s;
-    if (obs::ObsContext* obs = sim_.obs(); obs != nullptr && obs->trace().active()) {
-      obs::ZeroWindowEpisode e;
-      e.t_s = sim_.now().to_seconds();
-      e.connection_id = connection_id_;
-      e.endpoint = label_;
-      e.duration_s = duration_s;
-      obs->trace().emit(e);
-    }
-    // The episode is only known at its end: retro-emit it as a span so the
-    // timeline exporter renders a proper slice.
+    // The episode is only known at its end: retro-emit it as a span (id =
+    // connection, detail = endpoint label).
     obs::emit_span(sim_, zero_window_since_.to_seconds(), obs::SpanCategory::kTcp, "zero_window",
                    connection_id_, label_);
   }

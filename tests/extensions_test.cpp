@@ -10,6 +10,7 @@
 #include "net/cross_traffic.hpp"
 #include "net/path.hpp"
 #include "net/profile.hpp"
+#include "obs/trace.hpp"
 #include "streaming/session_builder.hpp"
 #include "tcp/connection.hpp"
 
@@ -17,9 +18,9 @@ namespace vstream {
 namespace {
 
 TEST(JsonTest, EscapesSpecials) {
-  EXPECT_EQ(analysis::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(analysis::json_escape("plain"), "plain");
-  EXPECT_EQ(analysis::json_escape(std::string{"x\x01y"}), "x\\u0001y");
+  EXPECT_EQ(obs::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+  EXPECT_EQ(obs::json_escape("plain"), "plain");
+  EXPECT_EQ(obs::json_escape(std::string{"x\x01y"}), "x\\u0001y");
 }
 
 TEST(JsonTest, ReportRoundTripStructure) {

@@ -175,24 +175,19 @@ TEST_F(MmapPcapReaderTest, HeaderAndCursorWalkTheWholeFile) {
     last_offset = view.offset;
   });
   EXPECT_EQ(count, trace.packets.size());
-  // record_at revisits any offset the cursor reported.
-  const PcapRecordView revisited = reader.record_at(last_offset);
-  EXPECT_EQ(revisited.offset, last_offset);
-  EXPECT_EQ(revisited.incl_len, wire::kHeadersBytes);
-}
-
-TEST_F(MmapPcapReaderTest, TemplatedAndFunctionOverloadsAgree) {
-  write_pcap(sample_trace(), path_);
-  std::vector<PacketRecord> via_template;
-  for_each_pcap_record(path_, [&via_template](const PacketRecord& r) {
-    via_template.push_back(r);
-  });
+  // A visitor held as a std::function binds to the templated
+  // for_each_pcap_record unchanged and sees the same records.
   std::vector<PacketRecord> via_function;
   const std::function<void(const PacketRecord&)> fn = [&via_function](const PacketRecord& r) {
     via_function.push_back(r);
   };
   for_each_pcap_record(path_, fn);
-  expect_records_equal(via_function, via_template);
+  expect_records_equal(via_function, collect(path_));
+  EXPECT_EQ(via_function.size(), trace.packets.size());
+  // record_at revisits any offset the cursor reported.
+  const PcapRecordView revisited = reader.record_at(last_offset);
+  EXPECT_EQ(revisited.offset, last_offset);
+  EXPECT_EQ(revisited.incl_len, wire::kHeadersBytes);
 }
 
 TEST_F(MmapPcapReaderTest, ByteSwappedMagicReadsIdentically) {

@@ -4,21 +4,28 @@
 // (open/close nesting, marks, moves, teardown truncation via close_all),
 // JSONL round-trips, the Chrome trace-event golden rendering, the
 // flight-recorder ring with its dump-on-abandon and dump-on-contract
-// triggers, and the determinism contract that an armed run fingerprints
-// identically to an unobserved one.
+// triggers, every fault-catalog episode arriving as a span, the JSONL
+// replay rendering the live Chrome trace byte for byte, and the
+// determinism contract that an armed run fingerprints identically to an
+// unobserved one.
 //
 // This target is pinned to VSTREAM_CHECK_LEVEL=1 in CMakeLists so the
 // contract-hook test still fires when the tree builds with checks off.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "check/contracts.hpp"
+#include "net/dynamics.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/context.hpp"
 #include "obs/flight_recorder.hpp"
@@ -272,25 +279,40 @@ TEST(SpanJsonlTest, SpanRecordRoundTripsThroughJsonl) {
   EXPECT_EQ(rb->detail, r.detail);
 }
 
-TEST(SpanJsonlTest, FetchRetryRoundTripsThroughJsonl) {
-  FetchRetry retry;
-  retry.t_s = 12.5;
-  retry.attempt = 3;
-  retry.backoff_s = 0.8;
-  retry.remaining_bytes = 123456;
-  retry.gave_up = true;
+TEST(SpanJsonlTest, EscapedDetailRoundTripsAsOneLine) {
+  SpanRecord r;
+  r.t_end_s = 1.0;
+  r.category = "fetch";
+  r.name = "fetch";
+  r.detail = std::string{"say \"hi\" \\ tab\there\nnext\x01line"};
 
-  const auto back = from_jsonl(to_jsonl(TraceEvent{retry}));
+  const std::string line = to_jsonl(TraceEvent{r});
+  EXPECT_EQ(line.find('\n'), std::string::npos) << line;
+  EXPECT_EQ(line.find('\t'), std::string::npos) << line;
+  const auto back = from_jsonl(line);
   ASSERT_TRUE(back.has_value());
-  const auto* rb = std::get_if<FetchRetry>(&*back);
-  ASSERT_NE(rb, nullptr);
-  EXPECT_DOUBLE_EQ(rb->t_s, 12.5);
-  EXPECT_EQ(rb->attempt, 3u);
-  EXPECT_DOUBLE_EQ(rb->backoff_s, 0.8);
-  EXPECT_EQ(rb->remaining_bytes, 123456u);
-  EXPECT_TRUE(rb->gave_up);
+  EXPECT_EQ(std::get<SpanRecord>(*back).detail, r.detail);
+
   EXPECT_FALSE(from_jsonl("{\"type\":\"unknown_event\"}").has_value());
   EXPECT_FALSE(from_jsonl("not json at all").has_value());
+  // An escape json_escape never writes is not one of ours.
+  EXPECT_FALSE(jsonl_string("{\"k\":\"a\\qb\"}", "k").has_value());
+}
+
+TEST(SpanJsonlTest, NumbersRoundTripBitExactly) {
+  TcpCwndSample cwnd;
+  cwnd.t_s = 1.026740351;  // ten significant digits: %.9g would drift the Chrome ts
+  cwnd.connection_id = 3;
+  cwnd.endpoint = "server#3";
+  cwnd.ssthresh = 4611686018427387903ULL;  // 2^62-1: a double would round it up
+  cwnd.rto_s = 0.2 + 0.1;
+  const auto back = from_jsonl(to_jsonl(TraceEvent{cwnd}));
+  ASSERT_TRUE(back.has_value());
+  const auto& rb = std::get<TcpCwndSample>(*back);
+  EXPECT_EQ(rb.t_s, cwnd.t_s);
+  EXPECT_EQ(rb.ssthresh, cwnd.ssthresh);
+  EXPECT_EQ(rb.rto_s, cwnd.rto_s);
+  EXPECT_EQ(to_jsonl(*back), to_jsonl(TraceEvent{cwnd}));
 }
 
 // ---- Chrome trace-event exporter -----------------------------------------
@@ -327,31 +349,26 @@ TEST(ChromeTraceTest, SpanRendersAsGoldenAsyncPair) {
   EXPECT_EQ(writer.to_json(), expected);
 }
 
-TEST(ChromeTraceTest, PointProbesRenderAndZeroWindowIsSkipped) {
+TEST(ChromeTraceTest, SamplesRenderAsCountersAndInstants) {
   ChromeTraceWriter writer;
   TcpCwndSample cwnd;
   cwnd.t_s = 1.0;
   cwnd.connection_id = 3;
   cwnd.cwnd = 14600;
   writer.add(TraceEvent{cwnd});
-  writer.add(TraceEvent{PlayerStall{2.0, 1}});
-  FetchRetry abandon;
-  abandon.t_s = 3.0;
-  abandon.attempt = 5;
-  abandon.gave_up = true;
-  writer.add(TraceEvent{abandon});
-  EXPECT_EQ(writer.rows(), 3u);
-
-  // The zero-window point probe is rendered by its retro-emitted span
-  // instead; the writer must drop it rather than draw the episode twice.
-  writer.add(TraceEvent{ZeroWindowEpisode{4.0, 3, "client#3", 0.5}});
+  SimLoopSample loop;
+  loop.t_s = 2.0;
+  loop.events_pending = 12;
+  writer.add(TraceEvent{loop});
+  writer.add(TraceEvent{PacingBlockEmitted{3.0, 3, 65536, true}});
   EXPECT_EQ(writer.rows(), 3u);
 
   const std::string json = writer.to_json();
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("cwnd conn3"), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"stall\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"fetch_abandoned\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"sim_loop\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"initial_burst\""), std::string::npos);
 }
 
 TEST(ChromeTraceTest, SinkWritesFileOnceAndCloseIsIdempotent) {
@@ -388,12 +405,12 @@ TEST(FlightRecorderTest, RingKeepsMostRecentEventsOnly) {
   FlightRecorder recorder{opt};
   TraceBus bus;
   bus.attach(&recorder);
-  for (int i = 1; i <= 5; ++i) {
-    bus.emit(TraceEvent{PlayerStall{static_cast<double>(i), static_cast<std::uint32_t>(i)}});
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    bus.emit(TraceEvent{PacingBlockEmitted{static_cast<double>(i), 1, i, false}});
   }
   ASSERT_EQ(recorder.buffered().size(), 3u);
-  EXPECT_EQ(std::get<PlayerStall>(recorder.buffered().front()).stall_count, 3u);
-  EXPECT_EQ(std::get<PlayerStall>(recorder.buffered().back()).stall_count, 5u);
+  EXPECT_EQ(std::get<PacingBlockEmitted>(recorder.buffered().front()).bytes, 3u);
+  EXPECT_EQ(std::get<PacingBlockEmitted>(recorder.buffered().back()).bytes, 5u);
   EXPECT_EQ(recorder.dumps_written(), 0u);
 
   FlightRecorder::Options zero;
@@ -411,33 +428,45 @@ TEST(FlightRecorderTest, FetchAbandonTriggersDumpWithHeaderAndTail) {
   TraceBus bus;
   bus.attach(&recorder);
 
-  bus.emit(TraceEvent{PlayerStall{1.0, 1}});
-  FetchRetry retry;
-  retry.t_s = 2.0;
-  retry.attempt = 2;
-  bus.emit(TraceEvent{retry});  // plain retry: no dump yet
+  bus.emit(TraceEvent{PacingBlockEmitted{1.0, 1, 65536, false}});
+  SpanRecord backoff;
+  backoff.t_begin_s = 2.0;
+  backoff.t_end_s = 2.5;
+  backoff.id = 2;
+  backoff.category = "fetch";
+  backoff.name = "retry_backoff";
+  backoff.detail = "reissued";
+  bus.emit(TraceEvent{backoff});  // a retry is not a failure: no dump yet
+  backoff.t_begin_s = 4.5;
+  backoff.t_end_s = 5.5;
+  backoff.id = 3;
+  bus.emit(TraceEvent{backoff});
   EXPECT_EQ(recorder.dumps_written(), 0u);
 
-  retry.t_s = 3.0;
-  retry.attempt = 3;
-  retry.gave_up = true;
-  bus.emit(TraceEvent{retry});
+  SpanRecord fetch;
+  fetch.t_begin_s = 1.0;
+  fetch.t_end_s = 7.5;
+  fetch.id = 9;
+  fetch.category = "fetch";
+  fetch.name = "fetch";
+  fetch.detail = "abandoned";
+  bus.emit(TraceEvent{fetch});
   EXPECT_EQ(recorder.dumps_written(), 1u);
 
   std::ifstream in{path};
   ASSERT_TRUE(in.good());
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 4u);  // header + 3 buffered events
+  ASSERT_EQ(lines.size(), 5u);  // header + 4 buffered events
   EXPECT_EQ(jsonl_string(lines[0], "type"), "flight_dump");
   EXPECT_NE(jsonl_string(lines[0], "reason")->find("fetch abandoned after attempt 3"),
             std::string::npos);
-  EXPECT_EQ(jsonl_number(lines[0], "events"), 3.0);
+  EXPECT_EQ(jsonl_number(lines[0], "events"), 4.0);
   // The tail is ordinary JSONL: the same parser the trace tooling uses.
   for (std::size_t i = 1; i < lines.size(); ++i) {
     EXPECT_TRUE(from_jsonl(lines[i]).has_value()) << lines[i];
   }
-  EXPECT_EQ(jsonl_number(lines.back(), "gave_up"), 1.0);
+  EXPECT_EQ(jsonl_string(lines.back(), "detail"), "abandoned");
   std::remove(path.c_str());
 }
 
@@ -455,7 +484,7 @@ TEST(FlightRecorderTest, ContractViolationTriggersDumpAndHookIsRestored) {
     FlightRecorder recorder{opt};
     TraceBus bus;
     bus.attach(&recorder);
-    bus.emit(TraceEvent{PlayerStall{1.0, 1}});
+    bus.emit(TraceEvent{PacingBlockEmitted{1.0, 1, 65536, false}});
 
     EXPECT_THROW(VSTREAM_INVARIANT(1 + 1 == 3, "arithmetic broke"), check::ContractViolation);
     EXPECT_EQ(recorder.dumps_written(), 1u);
@@ -525,6 +554,155 @@ TEST(SessionSpanTest, SessionEmitsEpisodeSpansAndTruncatesAtTeardown) {
   const double truncated = result.metrics.gauges.at("obs.spans_truncated");
   EXPECT_GE(truncated, 1.0);
   EXPECT_TRUE(saw_capture_end);
+}
+
+// ---- every episode is a span: the fault catalog --------------------------
+
+// A session takes one trace sink; this one fans each event out to several.
+struct TeeSink final : TraceSink {
+  std::vector<TraceSink*> sinks;
+  void on_event(const TraceEvent& event) override {
+    for (TraceSink* sink : sinks) sink->on_event(event);
+  }
+};
+
+// Keeps every span of a run (a ring would drop the early ones).
+struct SpanCollector final : TraceSink {
+  std::vector<SpanRecord> spans;
+  void on_event(const TraceEvent& event) override {
+    if (const auto* span = std::get_if<SpanRecord>(&event)) spans.push_back(*span);
+  }
+  [[nodiscard]] std::size_t count(const std::string& name, const std::string& detail = {}) const {
+    return static_cast<std::size_t>(std::count_if(spans.begin(), spans.end(), [&](const auto& s) {
+      return s.name == name && (detail.empty() || s.detail == detail);
+    }));
+  }
+};
+
+TEST(FaultScenarioSpanTest, EveryEpisodeIsOnTheBusAsASpan) {
+  const std::string dump_path =
+      ::testing::TempDir() + "fault_span_dump_" + std::to_string(::getpid()) + ".jsonl";
+  std::size_t stalls = 0;
+  std::size_t zero_windows = 0;
+  std::size_t backoffs = 0;
+  std::size_t abandons = 0;
+  for (const auto& scenario : streaming::fault_scenarios(180.0)) {
+    SCOPED_TRACE(scenario.name);
+    SpanCollector collector;
+    FlightRecorder::Options opt;
+    opt.capacity = 64;
+    opt.dump_path = dump_path;
+    opt.arm_contract_hook = false;
+    FlightRecorder recorder{opt};
+    TeeSink tee;
+    tee.sinks = {&collector, &recorder};
+    auto cfg = scenario.config;
+    cfg.trace_sink = &tee;
+    const auto result = streaming::run_session(cfg);
+
+    // One "stall" span (id = stall count) per stall the player counted.
+    EXPECT_EQ(collector.count("stall"), result.player.stall_count);
+    // One closed "zero_window" span per reopened window; an episode still
+    // open at the cutoff is counted by the endpoint but has no span yet.
+    const std::size_t zw = collector.count("zero_window");
+    EXPECT_LE(zw, result.metrics.counters.at("tcp.zero_window_episodes"));
+    for (const auto& s : collector.spans) {
+      if (s.name != "zero_window") continue;
+      EXPECT_EQ(s.category, "tcp");
+      EXPECT_TRUE(s.detail.rfind("client#", 0) == 0 || s.detail.rfind("server#", 0) == 0)
+          << s.detail;
+    }
+    // A link span per scheduled fault window, named after its kind.
+    for (const auto& window : cfg.impairments.windows()) {
+      EXPECT_GE(collector.count(net::to_string(window.kind)), 1u) << net::to_string(window.kind);
+    }
+    // Every retry waits out its backoff in a span; every abandon closes
+    // its fetch span "abandoned" and trips the flight recorder.
+    EXPECT_EQ(collector.count("retry_backoff"), result.resilience.fetch_retries);
+    EXPECT_EQ(collector.count("fetch", "abandoned"), result.resilience.fetch_abandoned);
+    EXPECT_EQ(recorder.dumps_written(), result.resilience.fetch_abandoned);
+    if (result.resilience.fetch_abandoned > 0) {
+      // An abandoning fetch spent the whole shared retry budget.
+      std::ifstream in{dump_path};
+      std::string header;
+      ASSERT_TRUE(std::getline(in, header));
+      EXPECT_EQ(jsonl_string(header, "reason"),
+                "fetch abandoned after attempt " + std::to_string(cfg.fetch_retry.max_retries));
+    }
+
+    stalls += collector.count("stall");
+    zero_windows += zw;
+    backoffs += collector.count("retry_backoff");
+    abandons += collector.count("fetch", "abandoned");
+  }
+  // The catalog exercises every episode kind at least once.
+  EXPECT_GT(stalls, 0u);
+  EXPECT_GT(zero_windows, 0u);
+  EXPECT_GT(backoffs, 0u);
+  EXPECT_GT(abandons, 0u);
+  std::remove(dump_path.c_str());
+}
+
+TEST(FaultScenarioSpanTest, InterruptClosesThePhaseSpan) {
+  for (const auto& scenario : streaming::canonical_scenarios(180.0)) {
+    if (!scenario.config.watch_fraction.has_value()) continue;
+    SCOPED_TRACE(scenario.name);
+    SpanCollector collector;
+    auto cfg = scenario.config;
+    cfg.trace_sink = &collector;
+    const auto result = streaming::run_session(cfg);
+    ASSERT_TRUE(result.player.interrupted);
+    ASSERT_EQ(collector.count("steady", "interrupted") + collector.count("stall", "interrupted") +
+                  collector.count("buffering", "interrupted"),
+              1u);
+    for (const auto& s : collector.spans) {
+      if (s.detail == "interrupted") {
+        EXPECT_EQ(s.category, "player");
+        EXPECT_DOUBLE_EQ(s.t_end_s, result.interrupted_at_s);
+      }
+    }
+  }
+}
+
+// ---- the JSONL trace round-trips exactly -----------------------------------
+
+// What tools/trace_export promises: a JSONL trace replayed through
+// from_jsonl renders the same Chrome JSON, byte for byte, as a live
+// ChromeTraceSink on the same run.
+TEST(TraceRoundTripTest, JsonlReplayRendersTheLiveChromeTrace) {
+  for (const auto& scenario : streaming::fault_scenarios(180.0)) {
+    SCOPED_TRACE(scenario.name);
+    struct LiveAndJsonl final : TraceSink {
+      ChromeTraceWriter live;
+      std::string jsonl;
+      void on_event(const TraceEvent& event) override {
+        live.add(event);
+        jsonl += to_jsonl(event);
+        jsonl += '\n';
+      }
+    } sink;
+    auto cfg = scenario.config;
+    cfg.trace_sink = &sink;
+    (void)streaming::run_session(cfg);
+
+    ChromeTraceWriter replay;
+    std::istringstream in{sink.jsonl};
+    for (std::string line; std::getline(in, line);) {
+      const auto event = from_jsonl(line);
+      ASSERT_TRUE(event.has_value()) << line;
+      replay.add(*event);
+    }
+    ASSERT_GT(sink.live.rows(), 0u);
+    const std::string live = sink.live.to_json();
+    const std::string replayed = replay.to_json();
+    const auto diverge = std::mismatch(live.begin(), live.end(), replayed.begin(), replayed.end());
+    EXPECT_TRUE(live == replayed)
+        << "first difference at byte " << (diverge.first - live.begin()) << ": live \""
+        << live.substr(static_cast<std::size_t>(diverge.first - live.begin()), 60)
+        << "\" vs replay \""
+        << replayed.substr(static_cast<std::size_t>(diverge.second - replayed.begin()), 60)
+        << "\"";
+  }
 }
 
 // ---- determinism: armed vs unobserved ------------------------------------

@@ -91,6 +91,25 @@ TEST(StreamingReportTest, StoreTraceOffStillDeliversTheReport) {
   EXPECT_EQ(lean_run.bytes_downloaded, batch_run.bytes_downloaded);
 }
 
+TEST(StreamingReportTest, StoreTraceOffCountsTheSameConnections) {
+  // The session counts the video connections it opened itself, so a
+  // trace-less run (no capture, no streamed report) reports what its
+  // store_trace(true) twin's capture shows.
+  auto scenarios = streaming::canonical_scenarios(60.0);
+  for (auto& fault : streaming::fault_scenarios(60.0)) scenarios.push_back(std::move(fault));
+  for (const auto& scenario : scenarios) {
+    const auto with_trace = streaming::run_session(scenario.config);
+    auto lean_cfg = scenario.config;
+    lean_cfg.store_trace = false;
+    const auto lean = streaming::run_session(lean_cfg);
+
+    EXPECT_GT(with_trace.connections, 0u) << scenario.name;
+    EXPECT_EQ(with_trace.connections, with_trace.video_trace().connection_count())
+        << scenario.name;
+    EXPECT_EQ(lean.connections, with_trace.connections) << scenario.name;
+  }
+}
+
 TEST(StreamingReportTest, SessionStreamingReportMatchesPostHocStreaming) {
   // The sink-fed in-session builder and a post-hoc builder over the stored
   // video trace see the same records in the same order.
