@@ -72,7 +72,7 @@ void ablation_quantum_sweep() {
     auto profile = net::profile_for(net::Vantage::kResearch);
     net::Path path{sim, profile, rng};
     tcp::Fabric fabric{sim, path};
-    capture::TraceRecorder recorder{sim, path};
+    capture::TraceRecorder recorder{path};
     recorder.start();
     tcp::TcpOptions copt;
     copt.recv_buffer_bytes = 512 * 1024;

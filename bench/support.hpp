@@ -97,11 +97,11 @@ void print_window_summary(const std::string& label, capture::TraceView trace);
 /// bench main calls `init` before benchmark::Initialize (init strips the
 /// flag from argv so google-benchmark never sees it) and `finalize` last
 /// thing before returning. `run_and_analyze` folds every session into the
-/// active collector automatically: per-session registry snapshots merge
+/// active collector automatically: per-session metrics snapshots merge
 /// (counters add, gauges take the max), simulator event counts and block
 /// sizes accumulate. `finalize` writes one JSON object — wall time,
 /// sessions, events/sec, median block size, median accumulation ratio, any
-/// `note_metric` extras, and the merged registry snapshot — to the given
+/// `note_metric` extras, and the merged metrics snapshot — to the given
 /// path (default `BENCH_<name>.json`).
 class RunTelemetry {
  public:

@@ -9,6 +9,10 @@
 //        [--metrics out.json] [--trace-out out.json]
 //        <file.pcap> [encoding_rate_mbps]
 //
+// Flags come before the path. After it only one rate (a finite number of
+// Mbit/s above zero) may follow; a flag there, a third positional or a bad
+// rate exits 2 with the usage text before the file is opened.
+//
 // --stream runs the single-pass analysis pipeline over the file without
 // materialising the trace: memory stays O(1) in the capture length and the
 // report is field-identical to the default batch path.
@@ -17,6 +21,7 @@
 // analysis — per-connection lifetimes, steady-state ON blocks, and the
 // buffering phase — so a foreign pcap gets the same Perfetto view a live
 // --trace-out simulation run produces.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,30 +42,30 @@
 
 namespace {
 
-/// Rebuild an offline metrics registry from the capture — the per-flow
-/// counters a live session's instrumentation would have produced — and
-/// write it with the flow table as one JSON object.
+/// Rebuild offline metrics from the capture — the per-flow counts a live
+/// session's components would have kept — and write them with the flow
+/// table as one JSON object.
 bool write_metrics(const std::string& path, const vstream::capture::PacketTrace& trace,
                    const vstream::analysis::FlowTable& table) {
   using namespace vstream;
-  obs::MetricsRegistry reg;
-  reg.counter("analyzer.packets").inc(trace.packets.size());
-  reg.counter("analyzer.connections").inc(table.flows.size());
-  auto& flow_down = reg.histogram(
-      "analyzer.flow_down_bytes",
-      {64.0 * 1024, 1024.0 * 1024, 10.0 * 1024 * 1024, 100.0 * 1024 * 1024});
+  obs::MetricsSnapshot metrics;
+  auto& counters = metrics.counters;
+  counters["analyzer.packets"] = trace.packets.size();
+  counters["analyzer.connections"] = table.flows.size();
+  obs::FixedHistogram flow_down{
+      {64.0 * 1024, 1024.0 * 1024, 10.0 * 1024 * 1024, 100.0 * 1024 * 1024}};
   for (const auto& f : table.flows) {
-    reg.counter("analyzer.down_payload_bytes").inc(f.down_payload_bytes);
-    reg.counter("analyzer.up_payload_bytes").inc(f.up_payload_bytes);
-    reg.counter("analyzer.retransmitted_bytes").inc(f.retransmitted_bytes);
+    counters["analyzer.down_payload_bytes"] += f.down_payload_bytes;
+    counters["analyzer.up_payload_bytes"] += f.up_payload_bytes;
+    counters["analyzer.retransmitted_bytes"] += f.retransmitted_bytes;
     flow_down.observe(static_cast<double>(f.down_payload_bytes));
   }
-  reg.counter("analyzer.zero_window_episodes")
-      .inc(analysis::count_zero_window_episodes(trace));
+  metrics.histograms.emplace("analyzer.flow_down_bytes", std::move(flow_down));
+  counters["analyzer.zero_window_episodes"] = analysis::count_zero_window_episodes(trace);
   std::ofstream out{path};
   if (!out) return false;
-  out << "{\"flows\":" << analysis::to_json(table)
-      << ",\"metrics\":" << reg.snapshot().to_json() << "}\n";
+  out << "{\"flows\":" << analysis::to_json(table) << ",\"metrics\":" << metrics.to_json()
+      << "}\n";
   return true;
 }
 
@@ -137,6 +142,23 @@ vstream::analysis::SessionReport stream_report(const std::string& path,
   return chosen.finish();
 }
 
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--json] [--flows] [--dump] [--stream] [--metrics out.json] "
+               "[--trace-out out.json] <file.pcap> [encoding_rate_mbps]\n",
+               argv0);
+  return 2;
+}
+
+/// The optional rate positional, whole token: a finite number of Mbit/s
+/// above zero. A flag here (one given after the pcap path) is not a rate.
+bool parse_rate_mbps(const char* text, double& mbps) {
+  if (text[0] == '-') return false;
+  char* end = nullptr;
+  mbps = std::strtod(text, &end);
+  return end != text && *end == '\0' && std::isfinite(mbps) && mbps > 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -167,15 +189,16 @@ int main(int argc, char** argv) {
     }
     ++arg;
   }
-  if (arg >= argc) {
-    std::fprintf(stderr,
-                 "usage: %s [--json] [--flows] [--dump] [--stream] [--metrics out.json] "
-                 "[--trace-out out.json] <file.pcap> [encoding_rate_mbps]\n",
-                 argv[0]);
-    return 2;
+  // The pcap path, then at most the rate; validated before the file opens.
+  const int positionals = argc - arg;
+  if (positionals < 1 || positionals > 2) return usage(argv[0]);
+  const std::string pcap_path = argv[arg];
+  analysis::ReportOptions options;
+  if (positionals == 2) {
+    double mbps = 0.0;
+    if (!parse_rate_mbps(argv[arg + 1], mbps)) return usage(argv[0]);
+    options.encoding_bps = mbps * 1e6;
   }
-  argv += arg - 1;
-  argc -= arg - 1;
 
   if (stream) {
     if (with_flows || dump || !metrics_path.empty() || !trace_path.empty()) {
@@ -183,10 +206,8 @@ int main(int argc, char** argv) {
                    "--stream produces the report only; drop --flows/--dump/--metrics/--trace-out\n");
       return 2;
     }
-    analysis::ReportOptions options;
-    if (argc > 2) options.encoding_bps = std::atof(argv[2]) * 1e6;
     try {
-      const auto report = stream_report(argv[1], options);
+      const auto report = stream_report(pcap_path, options);
       if (as_json) {
         std::printf("{\"report\":%s}\n", analysis::to_json(report).c_str());
       } else {
@@ -201,12 +222,12 @@ int main(int argc, char** argv) {
 
   capture::PacketTrace trace;
   try {
-    trace = capture::read_pcap(argv[1]);
+    trace = capture::read_pcap(pcap_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  trace.label = argv[1];
+  trace.label = pcap_path;
 
   // Heuristic direction fix-up for foreign captures: the video flows in the
   // direction carrying most payload. Our own writer already encodes the
@@ -220,8 +241,6 @@ int main(int argc, char** argv) {
     for (auto& p : trace.packets) p.direction = net::opposite(p.direction);
   }
 
-  analysis::ReportOptions options;
-  if (argc > 2) options.encoding_bps = std::atof(argv[2]) * 1e6;
   const auto report = analysis::build_report(trace, options);
   if (!metrics_path.empty()) {
     if (!write_metrics(metrics_path, trace, analysis::build_flow_table(trace))) {

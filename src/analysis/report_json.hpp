@@ -14,7 +14,7 @@ namespace vstream::analysis {
 /// Render a report as a single JSON object. Optional fields appear as null.
 [[nodiscard]] std::string to_json(const SessionReport& report);
 
-/// As above, with the run's metrics-registry snapshot embedded under a
+/// As above, with the run's metrics snapshot embedded under a
 /// top-level "metrics" key (omitted when the snapshot is empty).
 [[nodiscard]] std::string to_json(const SessionReport& report,
                                   const obs::MetricsSnapshot& metrics);

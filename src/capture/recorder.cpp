@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/context.hpp"
-
 namespace vstream::capture {
 
-TraceRecorder::TraceRecorder(sim::Simulator& sim, net::Path& path) : sim_{sim}, path_{&path} {
+TraceRecorder::TraceRecorder(net::Path& path) : path_{&path} {
   path_->set_tap([this](sim::SimTime t, const net::TcpSegment& s, net::Direction d,
                         net::LinkEvent e) { on_event(t, s, d, e); });
 }
@@ -36,17 +34,9 @@ void TraceRecorder::reserve_for(double duration_s, double down_bps) {
   trace_.packets.reserve(std::min(expected, kReserveCap));
 }
 
-void TraceRecorder::publish_trace_bytes() {
-  if (auto* obs = obs::context_of(sim_)) {
-    obs->metrics().gauge("capture.trace_bytes")
-        .set_max(static_cast<double>(trace_.packets.size() * sizeof(PacketRecord)));
-  }
-}
-
 void TraceRecorder::stop() {
   recording_ = false;
   trace_.duration_s = last_t_s_ - (first_t_s_ < 0.0 ? 0.0 : first_t_s_);
-  publish_trace_bytes();
 }
 
 void TraceRecorder::on_event(sim::SimTime t, const net::TcpSegment& s, net::Direction d,

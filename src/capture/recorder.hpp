@@ -27,7 +27,7 @@ class TraceRecorder {
   using RecordSink = std::function<void(const PacketRecord&)>;
 
   /// Installs the tap. The recorder must outlive the path or be detached.
-  TraceRecorder(sim::Simulator& sim, net::Path& path);
+  explicit TraceRecorder(net::Path& path);
   ~TraceRecorder();
 
   TraceRecorder(const TraceRecorder&) = delete;
@@ -61,9 +61,7 @@ class TraceRecorder {
 
  private:
   void on_event(sim::SimTime t, const net::TcpSegment& s, net::Direction d, net::LinkEvent e);
-  void publish_trace_bytes();
 
-  sim::Simulator& sim_;
   net::Path* path_;
   PacketTrace trace_;
   RecordSink sink_;

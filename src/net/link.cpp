@@ -11,15 +11,6 @@ Link::Link(sim::Simulator& sim, Config config, std::unique_ptr<LossModel> loss, 
     : sim_{sim}, config_{config}, loss_{std::move(loss)}, rng_{rng} {
   if (config_.rate_bps <= 0.0) throw std::invalid_argument{"Link: rate must be positive"};
   if (!loss_) loss_ = std::make_unique<NoLoss>();
-  if (obs::ObsContext* obs = sim_.obs()) {
-    auto& reg = obs->metrics();
-    ctr_delivered_ = &reg.counter("net.segments_delivered");
-    ctr_drops_queue_ = &reg.counter("net.drops_queue");
-    ctr_drops_loss_ = &reg.counter("net.drops_loss");
-    ctr_drops_fault_ = &reg.counter("net.drops_fault");
-    ctr_fault_windows_ = &reg.counter("net.fault_windows");
-    gauge_queue_high_water_ = &reg.gauge("net.queue_high_water_bytes");
-  }
 }
 
 void Link::apply_window(const ImpairmentWindow& window, bool begin) {
@@ -43,7 +34,6 @@ void Link::apply_window(const ImpairmentWindow& window, bool begin) {
   }
   if (begin) {
     ++counters_.fault_windows;
-    if (ctr_fault_windows_ != nullptr) ctr_fault_windows_->inc();
   }
   obs::Span& span = fault_spans_[static_cast<std::size_t>(window.kind)];
   if (begin) {
@@ -88,7 +78,6 @@ bool Link::send(const TcpSegment& segment) {
     // Interface down: the segment never reaches the queue. TCP sees pure
     // silence and recovers via its RTO path once the window ends.
     ++counters_.dropped_fault;
-    if (ctr_drops_fault_ != nullptr) ctr_drops_fault_->inc();
     notify(segment, LinkEvent::kDropFault);
     return false;
   }
@@ -96,16 +85,14 @@ bool Link::send(const TcpSegment& segment) {
   const std::size_t wire = segment.wire_bytes();
   if (queued_bytes_ + wire > config_.queue_limit_bytes) {
     ++counters_.dropped_queue;
-    if (ctr_drops_queue_ != nullptr) ctr_drops_queue_->inc();
     notify(segment, LinkEvent::kDropQueue);
     return false;
   }
 
   ++counters_.enqueued;
   queued_bytes_ += wire;
-  if (gauge_queue_high_water_ != nullptr) {
-    gauge_queue_high_water_->set_max(static_cast<double>(queued_bytes_));
-  }
+  counters_.queue_high_water_bytes =
+      std::max<std::uint64_t>(counters_.queue_high_water_bytes, queued_bytes_);
   notify(segment, LinkEvent::kEnqueue);
 
   const sim::SimTime start = std::max(sim_.now(), busy_until_);
@@ -130,13 +117,11 @@ bool Link::send(const TcpSegment& segment) {
     notify(segment, LinkEvent::kTransmit);
     if (lost) {
       ++counters_.dropped_loss;
-      if (ctr_drops_loss_ != nullptr) ctr_drops_loss_->inc();
       notify(segment, LinkEvent::kDropLoss);
       return;
     }
     auto deliver = [this, segment] {
       ++counters_.delivered;
-      if (ctr_delivered_ != nullptr) ctr_delivered_->inc();
       counters_.bytes_delivered += segment.wire_bytes();
       notify(segment, LinkEvent::kDeliver);
       receiver_(segment);

@@ -17,11 +17,6 @@
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
-namespace vstream::obs {
-class Counter;
-class Gauge;
-}
-
 namespace vstream::net {
 
 enum class LinkEvent : std::uint8_t {
@@ -49,6 +44,7 @@ class Link {
     std::uint64_t dropped_fault{0};  ///< blackout-window drops
     std::uint64_t bytes_delivered{0};
     std::uint64_t fault_windows{0};  ///< impairment windows entered so far
+    std::uint64_t queue_high_water_bytes{0};  ///< deepest the transmit queue got
   };
 
   Link(sim::Simulator& sim, Config config, std::unique_ptr<LossModel> loss, sim::Rng rng);
@@ -114,15 +110,6 @@ class Link {
   /// One episode span per impairment kind (the schedule validator rejects
   /// same-kind overlap, so one open window per kind is an invariant).
   std::array<obs::Span, 4> fault_spans_;
-
-  // Cached registry instruments (shared across all links of one world);
-  // null when the world runs unobserved.
-  obs::Counter* ctr_delivered_{nullptr};
-  obs::Counter* ctr_drops_queue_{nullptr};
-  obs::Counter* ctr_drops_loss_{nullptr};
-  obs::Counter* ctr_drops_fault_{nullptr};
-  obs::Counter* ctr_fault_windows_{nullptr};
-  obs::Gauge* gauge_queue_high_water_{nullptr};
 };
 
 }  // namespace vstream::net

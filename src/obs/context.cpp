@@ -25,13 +25,8 @@ void SimLoopMonitor::sample() {
   const double sim_dt = (sim_.now() - last_sim_).to_seconds();
   last_wall_ = wall_now;
   last_sim_ = sim_.now();
-  const double ratio = wall_dt > 0.0 ? sim_dt / wall_dt : 0.0;
-
-  auto& reg = obs->metrics();
-  reg.gauge("sim.events_pending_high_water")
-      .set_max(static_cast<double>(sim_.max_events_pending()));
-  reg.gauge("sim.sim_wall_ratio").set(ratio);
-  reg.counter("sim.loop_samples").inc();
+  last_ratio_ = wall_dt > 0.0 ? sim_dt / wall_dt : 0.0;
+  sampled_high_water_ = sim_.max_events_pending();
 
   if (obs->trace().active()) {
     SimLoopSample s;
@@ -39,7 +34,7 @@ void SimLoopMonitor::sample() {
     s.events_processed = sim_.events_processed();
     s.events_pending = sim_.events_pending();
     s.max_events_pending = sim_.max_events_pending();
-    s.sim_wall_ratio = ratio;
+    s.sim_wall_ratio = last_ratio_;
     obs->trace().emit(s);
   }
 }

@@ -1,14 +1,15 @@
-// Per-world observability context: one metrics registry plus one trace bus,
+// Per-world observability context: one trace bus plus its span tracer,
 // attached to a `Simulator` (see Simulator::set_obs). Components discover it
 // through their simulator reference, so instrumentation needs no extra
 // plumbing through constructors, and parallel simulations each get their
-// own isolated instance.
+// own isolated instance. Counts are not kept here: each component keeps its
+// own stats, and a world builds its `MetricsSnapshot` from them once, at the
+// end of the run.
 #pragma once
 
 #include <chrono>
 #include <memory>
 
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "sim/periodic_timer.hpp"
@@ -18,12 +19,10 @@ namespace vstream::obs {
 
 class ObsContext {
  public:
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] TraceBus& trace() { return trace_; }
   [[nodiscard]] SpanTracer& spans() { return spans_; }
 
  private:
-  MetricsRegistry metrics_;
   TraceBus trace_;
   SpanTracer spans_{trace_};
 };
@@ -57,9 +56,9 @@ inline void emit_span(const sim::Simulator& sim, double t_begin_s, SpanCategory 
 
 /// Samples simulator-loop health on a fixed sim-time period: events
 /// processed, queue depth (current and high water) and the sim-time /
-/// wall-time ratio since the previous sample. Each sample updates the
-/// registry gauges `sim.events_pending_high_water` and `sim.sim_wall_ratio`
-/// and, when a sink listens, emits a `SimLoopSample`.
+/// wall-time ratio since the previous sample. Each sample keeps the ratio
+/// and the queue high-water it saw and, when a sink listens, emits a
+/// `SimLoopSample`.
 class SimLoopMonitor {
  public:
   SimLoopMonitor(sim::Simulator& sim, sim::Duration period);
@@ -68,6 +67,10 @@ class SimLoopMonitor {
   void stop() { timer_.stop(); }
 
   [[nodiscard]] std::uint64_t samples() const { return samples_; }
+  /// Sim-time / wall-time ratio over the last sampled period.
+  [[nodiscard]] double last_ratio() const { return last_ratio_; }
+  /// The simulator's queue high-water as of the last sample.
+  [[nodiscard]] std::size_t sampled_high_water() const { return sampled_high_water_; }
 
  private:
   void sample();
@@ -77,6 +80,8 @@ class SimLoopMonitor {
   std::chrono::steady_clock::time_point last_wall_;  // vstream-lint: allow(wall-clock): sim-vs-wall speed telemetry only
   sim::SimTime last_sim_{};
   std::uint64_t samples_{0};
+  double last_ratio_{0.0};
+  std::size_t sampled_high_water_{0};
 };
 
 }  // namespace vstream::obs

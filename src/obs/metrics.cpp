@@ -28,26 +28,38 @@ void FixedHistogram::observe(double v) {
   sum_ += v;
 }
 
-FixedHistogram& MetricsRegistry::histogram(const std::string& name,
-                                           std::vector<double> upper_bounds) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(name, FixedHistogram{std::move(upper_bounds)}).first->second;
+void FixedHistogram::merge_from(const FixedHistogram& other) {
+  if (bounds_ != other.bounds_) {
+    throw std::invalid_argument{
+        "FixedHistogram::merge_from: bucket bounds differ; refusing to misalign buckets"};
+  }
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  count_ += other.count_;
+  sum_ += other.sum_;
 }
 
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot snap;
-  for (const auto& [name, c] : counters_) snap.counters.emplace(name, c.value());
-  for (const auto& [name, g] : gauges_) snap.gauges.emplace(name, g.value());
-  for (const auto& [name, h] : histograms_) {
-    MetricsSnapshot::HistogramData data;
-    data.bounds = h.bounds();
-    data.counts = h.counts();
-    data.count = h.count();
-    data.sum = h.sum();
-    snap.histograms.emplace(name, std::move(data));
+double FixedHistogram::percentile(double q) const {
+  if (count_ == 0) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  const double rank = q * static_cast<double>(count_);
+  double cumulative = 0.0;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    const double in_bucket = static_cast<double>(counts_[i]);
+    if (in_bucket <= 0.0) continue;
+    if (cumulative + in_bucket < rank) {
+      cumulative += in_bucket;
+      continue;
+    }
+    // Overflow bucket has no upper edge: clamp to the last known bound.
+    if (i >= bounds_.size()) return bounds_.back();
+    const double upper = bounds_[i];
+    // The first bucket interpolates from 0 (our measured quantities are
+    // non-negative); negative bounds fall back to the edge itself.
+    const double lower = i == 0 ? std::min(0.0, upper) : bounds_[i - 1];
+    const double fraction = (rank - cumulative) / in_bucket;
+    return lower + (upper - lower) * fraction;
   }
-  return snap;
+  return bounds_.back();
 }
 
 void MetricsSnapshot::merge_from(const MetricsSnapshot& other) {
@@ -58,43 +70,8 @@ void MetricsSnapshot::merge_from(const MetricsSnapshot& other) {
   }
   for (const auto& [name, h] : other.histograms) {
     auto [it, inserted] = histograms.emplace(name, h);
-    if (inserted) continue;
-    auto& mine = it->second;
-    if (mine.bounds != h.bounds || mine.counts.size() != h.counts.size()) {
-      throw std::invalid_argument{"MetricsSnapshot::merge_from: histogram '" + name +
-                                  "' bucket layout differs between snapshots; refusing to "
-                                  "misalign buckets"};
-    }
-    for (std::size_t i = 0; i < mine.counts.size(); ++i) {
-      mine.counts[i] += h.counts[i];
-    }
-    mine.count += h.count;
-    mine.sum += h.sum;
+    if (!inserted) it->second.merge_from(h);
   }
-}
-
-double MetricsSnapshot::HistogramData::percentile(double q) const {
-  if (count == 0 || counts.empty() || bounds.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(count);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const double in_bucket = static_cast<double>(counts[i]);
-    if (in_bucket <= 0.0) continue;
-    if (cumulative + in_bucket < rank) {
-      cumulative += in_bucket;
-      continue;
-    }
-    // Overflow bucket has no upper edge: clamp to the last known bound.
-    if (i >= bounds.size()) return bounds.back();
-    const double upper = bounds[i];
-    // The first bucket interpolates from 0 (our measured quantities are
-    // non-negative); negative bounds fall back to the edge itself.
-    const double lower = i == 0 ? std::min(0.0, upper) : bounds[i - 1];
-    const double fraction = (rank - cumulative) / in_bucket;
-    return lower + (upper - lower) * fraction;
-  }
-  return bounds.back();
 }
 
 namespace {
@@ -141,17 +118,17 @@ std::string MetricsSnapshot::to_json() const {
     first = false;
     append_quoted(out, name);
     out << ":{\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
+    for (std::size_t i = 0; i < h.bounds().size(); ++i) {
       if (i != 0) out << ',';
-      append_double(out, h.bounds[i]);
+      append_double(out, h.bounds()[i]);
     }
     out << "],\"counts\":[";
-    for (std::size_t i = 0; i < h.counts.size(); ++i) {
+    for (std::size_t i = 0; i < h.counts().size(); ++i) {
       if (i != 0) out << ',';
-      out << h.counts[i];
+      out << h.counts()[i];
     }
-    out << "],\"count\":" << h.count << ",\"sum\":";
-    append_double(out, h.sum);
+    out << "],\"count\":" << h.count() << ",\"sum\":";
+    append_double(out, h.sum());
     out << ",\"p50\":";
     append_double(out, h.percentile(0.50));
     out << ",\"p90\":";

@@ -17,10 +17,6 @@ FetchManager::FetchManager(sim::Simulator& sim, tcp::Fabric& fabric, video::Vide
       server_options_{server_options},
       retry_{retry} {
   retry_.validate();
-  if (obs::ObsContext* obs = sim_.obs()) {
-    ctr_retries_ = &obs->metrics().counter("fetch.retries");
-    ctr_timeouts_ = &obs->metrics().counter("fetch.timeouts");
-  }
 }
 
 void FetchManager::stop() {
@@ -132,7 +128,6 @@ void FetchManager::on_watchdog(Fetch& fetch) {
   }
   // No progress for a whole timeout: the request is considered hung.
   ++timeouts_;
-  if (ctr_timeouts_ != nullptr) ctr_timeouts_->inc();
   abandon_connection(fetch);
   if (fetch.attempts >= retry_.max_retries) {
     give_up(fetch);
@@ -167,7 +162,6 @@ void FetchManager::abandon_connection(Fetch& fetch) {
 void FetchManager::schedule_retry(Fetch& fetch) {
   ++fetch.attempts;
   ++retries_;
-  if (ctr_retries_ != nullptr) ctr_retries_->inc();
   const sim::Duration backoff = retry_.backoff_for(fetch.attempts);
   fetch.backoff_span =
       obs::open_span(sim_, obs::SpanCategory::kFetch, "retry_backoff", fetch.attempts);

@@ -29,10 +29,6 @@
 #include "tcp/connection.hpp"
 #include "video/metadata.hpp"
 
-namespace vstream::obs {
-class Counter;
-}
-
 namespace vstream::streaming {
 
 class FetchManager {
@@ -124,8 +120,6 @@ class FetchManager {
   std::uint32_t abandoned_{0};
   bool stopped_{false};
   std::function<void(std::uint32_t)> on_retry_;
-  obs::Counter* ctr_retries_{nullptr};
-  obs::Counter* ctr_timeouts_{nullptr};
 };
 
 }  // namespace vstream::streaming

@@ -16,11 +16,6 @@ Player::Player(sim::Simulator& sim, PlayerConfig config)
       (*config_.watch_fraction <= 0.0 || *config_.watch_fraction > 1.0)) {
     throw std::invalid_argument{"Player: watch fraction outside (0,1]"};
   }
-  if (obs::ObsContext* obs = sim_.obs()) {
-    ctr_stalls_ = &obs->metrics().counter("player.stalls");
-    ctr_interrupts_ = &obs->metrics().counter("player.interrupts");
-    ctr_rebuffers_ = &obs->metrics().counter("player.rebuffers");
-  }
   phase_span_ = obs::open_span(sim_, obs::SpanCategory::kPlayer, "buffering");
   clock_.start();
 }
@@ -51,7 +46,6 @@ void Player::maybe_start() {
       ++stats_.rebuffer_count;
       stats_.longest_stall_s =
           std::max(stats_.longest_stall_s, sim_.now().to_seconds() - stall_started_s_);
-      if (ctr_rebuffers_ != nullptr) ctr_rebuffers_->inc();
       phase_span_.close("recovered");
     }
     phase_span_ = obs::open_span(sim_, obs::SpanCategory::kPlayer, "steady");
@@ -67,7 +61,6 @@ void Player::interrupt() {
   stats_.interrupted = true;
   stats_.interrupted_at_s = sim_.now().to_seconds();
   phase_span_.close("interrupted");
-  if (ctr_interrupts_ != nullptr) ctr_interrupts_->inc();
   if (on_interrupt_) on_interrupt_();
 }
 
@@ -94,7 +87,6 @@ void Player::tick() {
       phase_span_ = obs::open_span(sim_, obs::SpanCategory::kPlayer, "stall",
                                    stats_.stall_count);
     }
-    if (ctr_stalls_ != nullptr) ctr_stalls_->inc();
     playing_ = false;  // re-enter via the startup threshold
     return;
   }

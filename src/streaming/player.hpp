@@ -16,10 +16,6 @@
 #include "sim/periodic_timer.hpp"
 #include "sim/simulator.hpp"
 
-namespace vstream::obs {
-class Counter;
-}
-
 namespace vstream::streaming {
 
 struct PlayerConfig {
@@ -95,9 +91,6 @@ class Player {
   /// Current playback phase as an episode span: "buffering" → "steady" ⇄
   /// "stall"; closed with the transition that ended the phase.
   obs::Span phase_span_;
-  obs::Counter* ctr_stalls_{nullptr};
-  obs::Counter* ctr_interrupts_{nullptr};
-  obs::Counter* ctr_rebuffers_{nullptr};
   std::function<void()> on_interrupt_;
   std::function<void()> on_finished_;
 };

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "analysis/streaming_report.hpp"
 #include "capture/recorder.hpp"
 #include "check/digest.hpp"
 #include "net/path.hpp"
-#include "net/path_builder.hpp"
 #include "obs/context.hpp"
 #include "streaming/session_instance.hpp"
 #include "tcp/connection.hpp"
@@ -69,26 +69,30 @@ net::NetworkProfile jittered(const SessionConfig& cfg, sim::Rng& rng) {
   return profile;
 }
 
+/// The session's private path, its fault schedule attached at once: the
+/// schedule's window transitions are the world's first scheduled events.
+std::unique_ptr<net::Path> make_path(sim::Simulator& sim, const SessionConfig& cfg,
+                                     sim::Rng& rng) {
+  auto path = std::make_unique<net::Path>(sim, jittered(cfg, rng), rng);
+  path->set_impairments(cfg.impairments);
+  return path;
+}
+
 struct World {
   explicit World(const SessionConfig& cfg)
       : sim{cfg.arena},
         rng{cfg.seed},
-        obs_wired{(sim.set_obs(&obs), true)},
-        path{net::PathBuilder{sim, jittered(cfg, rng), rng}
-                 .impairments(cfg.impairments)
-                 .build()},
+        path{make_path(sim, cfg, rng)},
         fabric{sim, *path},
-        recorder{sim, *path} {
+        recorder{*path} {
+    // Before the session instance: its player opens a span on construction.
+    sim.set_obs(&obs);
     recorder.start();
   }
 
   sim::Simulator sim;
   sim::Rng rng;
-  // The context must be attached to the simulator before any instrumented
-  // component (links, endpoints, players) constructs — they cache registry
-  // pointers in their constructors.
   obs::ObsContext obs;
-  bool obs_wired;
   std::unique_ptr<net::Path> path;
   tcp::Fabric fabric;
   capture::TraceRecorder recorder;
@@ -154,10 +158,8 @@ SessionResult run_session(const SessionConfig& cfg) {
   // are still alive; outstanding RAII handles become inert, so component
   // destruction below cannot double-emit. The count is the teardown
   // unclosed-span detector.
-  if (w.obs.trace().active()) {
-    const std::size_t truncated = w.obs.spans().close_all("capture_end");
-    w.obs.metrics().gauge("obs.spans_truncated").set(static_cast<double>(truncated));
-  }
+  std::optional<std::size_t> spans_truncated;
+  if (w.obs.trace().active()) spans_truncated = w.obs.spans().close_all("capture_end");
 
   SessionOutcome outcome = instance.finalize();
 
@@ -166,6 +168,7 @@ SessionResult run_session(const SessionConfig& cfg) {
   // applied in place, so the session holds one trace, not two copies.
   SessionResult result;
   result.trace = w.recorder.take();
+  const std::uint64_t trace_bytes = result.trace.packets.size() * sizeof(capture::PacketRecord);
   result.trace.label = to_string(cfg.service) + "/" + video::to_string(cfg.container) + "/" +
                        to_string(cfg.application) + " @ " + cfg.network.name;
   result.trace.duration_s = cfg.capture_duration_s;
@@ -196,7 +199,7 @@ SessionResult run_session(const SessionConfig& cfg) {
   result.interrupted_at_s = outcome.interrupted_at_s;
   result.bytes_downloaded = outcome.bytes_downloaded;
   result.connections = outcome.connections;
-  result.metrics = w.obs.metrics().snapshot();
+  result.metrics = instance.metrics(loop_monitor, trace_bytes, spans_truncated);
   result.sim_events = w.sim.events_processed();
   result.sim_max_events_pending = w.sim.max_events_pending();
   if (cfg.trace_sink != nullptr) w.obs.trace().detach(cfg.trace_sink);

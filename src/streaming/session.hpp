@@ -153,7 +153,8 @@ struct SessionResult {
   /// into `analysis::ReportOptions::resilience` when batch-building a
   /// report for this session.
   analysis::ResilienceStats resilience;
-  /// Snapshot of the session's metrics registry at the end of the run.
+  /// The session's run metrics, built once at the end of the run from its
+  /// components' own stats (`SessionInstance::metrics`).
   obs::MetricsSnapshot metrics;
   std::uint64_t sim_events{0};            ///< discrete events the simulator ran
   std::size_t sim_max_events_pending{0};  ///< event-queue high-water mark

@@ -1,10 +1,12 @@
 #include "streaming/session_instance.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
 #include "http/exchange.hpp"
 #include "net/path.hpp"
+#include "obs/context.hpp"
 #include "streaming/auxiliary.hpp"
 #include "streaming/fetch.hpp"
 #include "streaming/ipad_client.hpp"
@@ -247,6 +249,67 @@ SessionOutcome SessionInstance::finalize() {
           ? player_rate_bps_
           : video::resolve_encoding_rate(header, cfg_.video.size_bytes(), noise);
   return outcome;
+}
+
+obs::MetricsSnapshot SessionInstance::metrics(const obs::SimLoopMonitor& loop,
+                                              std::uint64_t trace_bytes,
+                                              std::optional<std::size_t> spans_truncated) const {
+  obs::MetricsSnapshot m;
+  auto& counters = m.counters;
+  auto& gauges = m.gauges;
+
+  fabric_.for_each_connection([&counters](const tcp::Connection& conn) {
+    for (const tcp::Endpoint* end : {&conn.client(), &conn.server()}) {
+      const tcp::TcpStats& s = end->stats();
+      counters["tcp.segments_sent"] += s.segments_sent;
+      counters["tcp.segments_retransmitted"] += s.segments_retransmitted;
+      counters["tcp.bytes_retransmitted"] += s.bytes_retransmitted;
+      counters["tcp.timeouts"] += s.timeouts;
+      counters["tcp.fast_retransmits"] += s.fast_retransmits;
+      counters["tcp.zero_window_episodes"] += s.zero_window_episodes;
+    }
+  });
+
+  const auto& down = fabric_.path().down().counters();
+  const auto& up = fabric_.path().up().counters();
+  counters["net.segments_delivered"] = down.delivered + up.delivered;
+  counters["net.drops_queue"] = down.dropped_queue + up.dropped_queue;
+  counters["net.drops_loss"] = down.dropped_loss + up.dropped_loss;
+  counters["net.drops_fault"] = down.dropped_fault + up.dropped_fault;
+  counters["net.fault_windows"] = down.fault_windows + up.fault_windows;
+  gauges["net.queue_high_water_bytes"] =
+      static_cast<double>(std::max(down.queue_high_water_bytes, up.queue_high_water_bytes));
+
+  const PlayerStats& player = player_->stats();
+  counters["player.stalls"] = player.stall_count;
+  counters["player.interrupts"] = player.interrupted ? 1 : 0;
+  counters["player.rebuffers"] = player.rebuffer_count;
+
+  if (fetches_) {
+    counters["fetch.retries"] = fetches_->retries();
+    counters["fetch.timeouts"] = fetches_->timeouts();
+  }
+
+  // Only the session's own server paces; its counts appear once it sent a
+  // block of that kind.
+  if (server_ && server_->initial_bursts() > 0) {
+    counters["server.initial_bursts"] = server_->initial_bursts();
+  }
+  if (server_ && server_->block_bytes().count() > 0) {
+    counters["server.paced_blocks"] = server_->block_bytes().count();
+    m.histograms.emplace("server.block_bytes", server_->block_bytes());
+  }
+
+  if (loop.samples() > 0) {
+    counters["sim.loop_samples"] = loop.samples();
+    gauges["sim.events_pending_high_water"] = static_cast<double>(loop.sampled_high_water());
+    gauges["sim.sim_wall_ratio"] = loop.last_ratio();
+  }
+  gauges["capture.trace_bytes"] = static_cast<double>(trace_bytes);
+  if (spans_truncated.has_value()) {
+    gauges["obs.spans_truncated"] = static_cast<double>(*spans_truncated);
+  }
+  return m;
 }
 
 }  // namespace vstream::streaming

@@ -20,8 +20,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "analysis/report.hpp"
+#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 #include "streaming/clients.hpp"
 #include "streaming/player.hpp"
@@ -31,6 +33,10 @@ namespace vstream::tcp {
 class Connection;
 class Fabric;
 }  // namespace vstream::tcp
+
+namespace vstream::obs {
+class SimLoopMonitor;
+}
 
 namespace vstream::streaming {
 
@@ -110,6 +116,16 @@ class SessionInstance {
   /// Gather the outcome. Forks "rate-estimate" as the session stream's
   /// last draw; call exactly once, after the run.
   [[nodiscard]] SessionOutcome finalize();
+
+  /// The session's run metrics, read once from the stats its components
+  /// already keep — TCP over every connection of the fabric, both path
+  /// links, the player, the fetch manager and the paced server — plus the
+  /// world's own: the loop monitor, the captured trace's size in bytes and,
+  /// when a sink listened, the spans the capture cutoff truncated. Every
+  /// metric name lives here. Call after the run.
+  [[nodiscard]] obs::MetricsSnapshot metrics(const obs::SimLoopMonitor& loop,
+                                             std::uint64_t trace_bytes,
+                                             std::optional<std::size_t> spans_truncated) const;
 
  private:
   void wire_combination();

@@ -8,7 +8,6 @@
 
 #include "check/digest.hpp"
 #include "net/path.hpp"
-#include "net/path_builder.hpp"
 #include "obs/context.hpp"
 #include "sim/periodic_timer.hpp"
 #include "streaming/session_instance.hpp"
@@ -179,7 +178,7 @@ struct Runner {
 
   void start_session(std::size_t k) {
     Slot& slot = slots[k];
-    slot.leg = net::PathBuilder{sim, slot.cfg.network, slot.rng}.build();
+    slot.leg = std::make_unique<net::Path>(sim, slot.cfg.network, slot.rng);
     const std::uint32_t client = bottleneck.attach(*slot.leg);
     slot.fabric = std::make_unique<tcp::Fabric>(
         sim, *slot.leg, net::SharedBottleneck::first_connection_id(client));

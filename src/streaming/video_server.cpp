@@ -29,17 +29,13 @@ void VideoStreamServer::stop() {
 }
 
 void VideoStreamServer::probe_block(std::uint64_t bytes, bool initial_burst) {
-  obs::ObsContext* obs = sim_.obs();
-  if (obs == nullptr) return;
-  obs->metrics().counter(initial_burst ? "server.initial_bursts" : "server.paced_blocks").inc();
-  if (!initial_burst) {
-    obs->metrics()
-        .histogram("server.block_bytes",
-                   {16.0 * 1024, 64.0 * 1024, 256.0 * 1024, 1024.0 * 1024, 2.5 * 1024 * 1024,
-                    8.0 * 1024 * 1024})
-        .observe(static_cast<double>(bytes));
+  if (initial_burst) {
+    ++initial_bursts_;
+  } else {
+    block_bytes_.observe(static_cast<double>(bytes));
   }
-  if (obs->trace().active()) {
+  obs::ObsContext* obs = sim_.obs();
+  if (obs != nullptr && obs->trace().active()) {
     obs::PacingBlockEmitted e;
     e.t_s = sim_.now().to_seconds();
     e.connection_id = conn_id_;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "http/exchange.hpp"
+#include "obs/metrics.hpp"
 #include "sim/periodic_timer.hpp"
 #include "video/metadata.hpp"
 
@@ -45,6 +46,12 @@ class VideoStreamServer {
   /// Stop pacing timers (e.g. viewer interrupted).
   void stop();
 
+  /// Paced discipline: initial bursts sent, and the size of every steady
+  /// block after them (its count is the paced-block count). Both stay zero
+  /// for a bulk server.
+  [[nodiscard]] std::uint64_t initial_bursts() const { return initial_bursts_; }
+  [[nodiscard]] const obs::FixedHistogram& block_bytes() const { return block_bytes_; }
+
  private:
   void handle(const http::HttpRequest& request, const http::HttpServer::MakeResponder& make);
   void probe_block(std::uint64_t bytes, bool initial_burst);
@@ -56,6 +63,9 @@ class VideoStreamServer {
   std::unique_ptr<http::HttpServer> http_;
   std::vector<std::unique_ptr<sim::PeriodicTimer>> pacers_;
   std::vector<std::shared_ptr<http::Responder>> active_;
+  std::uint64_t initial_bursts_{0};
+  obs::FixedHistogram block_bytes_{{16.0 * 1024, 64.0 * 1024, 256.0 * 1024, 1024.0 * 1024,
+                                    2.5 * 1024 * 1024, 8.0 * 1024 * 1024}};
 };
 
 }  // namespace vstream::streaming

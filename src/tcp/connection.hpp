@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "net/path.hpp"
 #include "tcp/endpoint.hpp"
@@ -26,6 +27,8 @@ class Connection {
 
   [[nodiscard]] Endpoint& client() { return *client_; }
   [[nodiscard]] Endpoint& server() { return *server_; }
+  [[nodiscard]] const Endpoint& client() const { return *client_; }
+  [[nodiscard]] const Endpoint& server() const { return *server_; }
   [[nodiscard]] std::uint64_t id() const { return id_; }
 
  private:
@@ -57,6 +60,12 @@ class Fabric {
 
   [[nodiscard]] std::size_t connection_count() const { return connections_.size(); }
   [[nodiscard]] Connection& connection(std::uint64_t id) { return *connections_.at(id); }
+  /// Visit every connection created so far, closed ones included (the
+  /// fabric owns them until it dies), in unspecified order.
+  template <typename Fn>
+  void for_each_connection(Fn&& fn) const {
+    for (const auto& [id, conn] : connections_) fn(std::as_const(*conn));
+  }
   [[nodiscard]] net::Path& path() { return path_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 

@@ -49,17 +49,6 @@ Endpoint::Endpoint(sim::Simulator& sim, std::uint64_t connection_id, TcpOptions 
   cwnd_ = static_cast<std::uint64_t>(options_.initial_cwnd_segments) * options_.mss;
   ssthresh_ = std::numeric_limits<std::uint64_t>::max() / 4;
   last_advertised_wnd_ = options_.recv_buffer_bytes;
-
-  // Cache registry instruments once; the hot paths then pay one null check.
-  if (obs::ObsContext* obs = sim_.obs()) {
-    auto& reg = obs->metrics();
-    ctr_segments_sent_ = &reg.counter("tcp.segments_sent");
-    ctr_segments_retransmitted_ = &reg.counter("tcp.segments_retransmitted");
-    ctr_bytes_retransmitted_ = &reg.counter("tcp.bytes_retransmitted");
-    ctr_timeouts_ = &reg.counter("tcp.timeouts");
-    ctr_fast_retransmits_ = &reg.counter("tcp.fast_retransmits");
-    ctr_zero_window_episodes_ = &reg.counter("tcp.zero_window_episodes");
-  }
 }
 
 // ---------------------------------------------------------------- probes
@@ -127,7 +116,6 @@ void Endpoint::note_advertised_window(std::uint64_t window_bytes) {
     advertising_zero_window_ = true;
     zero_window_since_ = sim_.now();
     ++stats_.zero_window_episodes;
-    if (ctr_zero_window_episodes_ != nullptr) ctr_zero_window_episodes_->inc();
   } else if (window_bytes > 0 && advertising_zero_window_) {
     advertising_zero_window_ = false;
     const double duration_s = (sim_.now() - zero_window_since_).to_seconds();
@@ -191,7 +179,6 @@ void Endpoint::transmit(TcpSegment segment) {
     }
   }
   ++stats_.segments_sent;
-  if (ctr_segments_sent_ != nullptr) ctr_segments_sent_->inc();
   // ACK bookkeeping: transmitting anything acknowledges received data.
   delack_timer_.cancel();
   segments_since_ack_ = 0;
@@ -315,10 +302,6 @@ void Endpoint::try_send() {
       if (repairing) {
         stats_.bytes_retransmitted += payload;
         ++stats_.segments_retransmitted;
-        if (ctr_segments_retransmitted_ != nullptr) {
-          ctr_segments_retransmitted_->inc();
-          ctr_bytes_retransmitted_->inc(payload);
-        }
       } else {
         stats_.bytes_sent += payload;
       }
@@ -372,7 +355,6 @@ void Endpoint::on_persist() {
   probe.host = options_.host_tag;
   note_advertised_window(probe.window_bytes);
   ++stats_.segments_sent;
-  if (ctr_segments_sent_ != nullptr) ctr_segments_sent_->inc();
   tx_link_->send(probe);
   persist_backoff_ = std::min(persist_backoff_ + persist_backoff_, options_.max_rto);
   arm_persist();
@@ -393,7 +375,6 @@ void Endpoint::on_rto() {
     return;  // nothing outstanding; stale timer
   }
   ++stats_.timeouts;
-  if (ctr_timeouts_ != nullptr) ctr_timeouts_->inc();
   const std::uint64_t flight = std::max<std::uint64_t>(bytes_in_flight(), options_.mss);
   ssthresh_ = std::max<std::uint64_t>(flight / 2, 2ULL * options_.mss);
   cwnd_ = options_.mss;  // RFC 5681 loss window
@@ -483,10 +464,6 @@ bool Endpoint::retransmit_next_hole() {
     seg.payload_bytes = static_cast<std::uint32_t>(len);
     stats_.bytes_retransmitted += len;
     ++stats_.segments_retransmitted;
-    if (ctr_segments_retransmitted_ != nullptr) {
-      ctr_segments_retransmitted_->inc();
-      ctr_bytes_retransmitted_->inc(len);
-    }
     rexmit_high_ = hole + len;
     transmit(seg);
     return true;
@@ -495,7 +472,6 @@ bool Endpoint::retransmit_next_hole() {
     seg.seq = hole;
     seg.flags = TcpFlag::kFin;
     ++stats_.segments_retransmitted;
-    if (ctr_segments_retransmitted_ != nullptr) ctr_segments_retransmitted_->inc();
     rexmit_high_ = hole + 1;
     transmit(seg);
     return true;
@@ -704,7 +680,6 @@ void Endpoint::enter_fast_recovery() {
   recover_ = snd_nxt_;
   in_fast_recovery_ = true;
   ++stats_.fast_retransmits;
-  if (ctr_fast_retransmits_ != nullptr) ctr_fast_retransmits_->inc();
   if (!recovery_span_.active()) {
     recovery_span_ =
         obs::open_span(sim_, obs::SpanCategory::kTcp, "fast_recovery", connection_id_);

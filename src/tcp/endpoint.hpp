@@ -27,10 +27,6 @@
 #include "tcp/options.hpp"
 #include "tcp/tag_channel.hpp"
 
-namespace vstream::obs {
-class Counter;
-}
-
 namespace vstream::tcp {
 
 enum class TcpState : std::uint8_t {
@@ -240,14 +236,6 @@ class Endpoint {
   /// ("fast_recovery" / "rto_recovery"); an escalation from fast recovery
   /// to timeout keeps the original span open until recovery completes.
   obs::Span recovery_span_;
-
-  // Cached registry instruments; null when the world runs unobserved.
-  obs::Counter* ctr_segments_sent_{nullptr};
-  obs::Counter* ctr_segments_retransmitted_{nullptr};
-  obs::Counter* ctr_bytes_retransmitted_{nullptr};
-  obs::Counter* ctr_timeouts_{nullptr};
-  obs::Counter* ctr_fast_retransmits_{nullptr};
-  obs::Counter* ctr_zero_window_episodes_{nullptr};
 
   std::function<void()> on_established_;
   std::function<void()> on_readable_;

@@ -81,7 +81,7 @@ TEST(RecorderTest, CapturesViewerSidePackets) {
   profile.loss_rate = 0.0;
   net::Path path{sim, profile, rng};
   tcp::Fabric fabric{sim, path};
-  TraceRecorder recorder{sim, path};
+  TraceRecorder recorder{path};
   recorder.start();
 
   auto& conn = fabric.create_connection({}, {});
@@ -115,7 +115,7 @@ TEST(RecorderTest, StopFreezesTrace) {
   auto profile = net::profile_for(net::Vantage::kResearch);
   net::Path path{sim, profile, rng};
   tcp::Fabric fabric{sim, path};
-  TraceRecorder recorder{sim, path};
+  TraceRecorder recorder{path};
   recorder.start();
   auto& conn = fabric.create_connection({}, {});
   conn.client().set_on_established([&] { conn.server().send(10'000); });
@@ -134,7 +134,7 @@ TEST(RecorderTest, TakeResetsState) {
   sim::Rng rng{1};
   auto profile = net::profile_for(net::Vantage::kResearch);
   net::Path path{sim, profile, rng};
-  TraceRecorder recorder{sim, path};
+  TraceRecorder recorder{path};
   recorder.start();
   auto trace = recorder.take();
   EXPECT_TRUE(trace.packets.empty());

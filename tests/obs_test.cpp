@@ -1,6 +1,7 @@
-// Observability layer: metrics registry, trace bus/sinks, and the
-// consistency contracts between live instrumentation and the offline
-// trace analysis (zero-window episodes in particular).
+// Observability layer: metrics snapshots, trace bus/sinks, and the
+// consistency contracts between live instrumentation, the components' own
+// stats and the offline trace analysis (zero-window episodes in
+// particular).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include "net/profile.hpp"
 #include "obs/context.hpp"
 #include "streaming/clients.hpp"
+#include "streaming/scenarios.hpp"
 #include "streaming/session_builder.hpp"
 #include "streaming/video_server.hpp"
 #include "tcp/connection.hpp"
@@ -25,20 +27,7 @@ namespace {
 
 using sim::SimTime;
 
-// ---- metrics registry ----------------------------------------------------
-
-TEST(ObsMetricsTest, CountersAndGauges) {
-  MetricsRegistry reg;
-  reg.counter("a").inc();
-  reg.counter("a").inc(4);
-  EXPECT_EQ(reg.counter("a").value(), 5u);
-
-  reg.gauge("g").set(2.5);
-  reg.gauge("g").set_max(1.0);  // lower: ignored
-  EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 2.5);
-  reg.gauge("g").set_max(7.0);
-  EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 7.0);
-}
+// ---- metrics snapshot ----------------------------------------------------
 
 TEST(ObsMetricsTest, HistogramBucketEdgesAreInclusiveUpperBounds) {
   FixedHistogram h{{10.0, 20.0}};
@@ -60,10 +49,10 @@ TEST(ObsMetricsTest, HistogramRejectsEmptyOrUnsortedBounds) {
 }
 
 TEST(ObsMetricsTest, HistogramPercentilesInterpolateLinearly) {
-  MetricsSnapshot::HistogramData h;
-  h.bounds = {10.0, 20.0};
-  h.counts = {4, 4, 2};  // 4 in [0,10], 4 in (10,20], 2 overflow
-  h.count = 10;
+  FixedHistogram h{{10.0, 20.0}};
+  for (int i = 0; i < 4; ++i) h.observe(5.0);   // 4 in [0,10]
+  for (int i = 0; i < 4; ++i) h.observe(15.0);  // 4 in (10,20]
+  for (int i = 0; i < 2; ++i) h.observe(25.0);  // 2 overflow
 
   // p20: rank 2 lands in the first bucket, which interpolates from 0.
   EXPECT_DOUBLE_EQ(h.percentile(0.20), 5.0);
@@ -76,53 +65,53 @@ TEST(ObsMetricsTest, HistogramPercentilesInterpolateLinearly) {
   // Out-of-range quantiles clamp instead of extrapolating.
   EXPECT_DOUBLE_EQ(h.percentile(1.5), 20.0);
 
-  MetricsSnapshot::HistogramData empty;
-  empty.bounds = {10.0};
-  empty.counts = {0, 0};
+  const FixedHistogram empty{{10.0}};
   EXPECT_DOUBLE_EQ(empty.percentile(0.5), 0.0);
 }
 
 TEST(ObsMetricsTest, SnapshotJsonCarriesPercentiles) {
-  MetricsRegistry reg;
-  auto& h = reg.histogram("lat", {10.0, 20.0});
+  FixedHistogram h{{10.0, 20.0}};
   for (int i = 0; i < 4; ++i) h.observe(5.0);
   for (int i = 0; i < 4; ++i) h.observe(15.0);
   h.observe(25.0);
   h.observe(25.0);
+  MetricsSnapshot snap;
+  snap.histograms.emplace("lat", h);
 
-  const std::string json = reg.snapshot().to_json();
+  const std::string json = snap.to_json();
   EXPECT_NE(json.find("\"p50\":12.5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p90\":20"), std::string::npos) << json;
   EXPECT_NE(json.find("\"p99\":20"), std::string::npos) << json;
 }
 
 TEST(ObsMetricsTest, MergeRejectsMismatchedHistogramBounds) {
-  MetricsRegistry a;
-  a.histogram("h", {1.0, 2.0}).observe(0.5);
-  MetricsRegistry with_other_bounds;
-  with_other_bounds.histogram("h", {1.0, 4.0}).observe(0.5);
-
-  MetricsSnapshot merged = a.snapshot();
-  EXPECT_THROW(merged.merge_from(with_other_bounds.snapshot()), std::invalid_argument);
+  const auto one_sample = [](std::vector<double> bounds, double v) {
+    FixedHistogram h{std::move(bounds)};
+    h.observe(v);
+    MetricsSnapshot snap;
+    snap.histograms.emplace("h", h);
+    return snap;
+  };
+  MetricsSnapshot merged = one_sample({1.0, 2.0}, 0.5);
+  EXPECT_THROW(merged.merge_from(one_sample({1.0, 4.0}, 0.5)), std::invalid_argument);
 
   // Same name, same bounds: merge is fine and buckets add.
-  MetricsRegistry compatible;
-  compatible.histogram("h", {1.0, 2.0}).observe(1.5);
-  merged.merge_from(compatible.snapshot());
-  EXPECT_EQ(merged.histograms.at("h").count, 2u);
+  merged.merge_from(one_sample({1.0, 2.0}, 1.5));
+  EXPECT_EQ(merged.histograms.at("h").count(), 2u);
 }
 
 TEST(ObsMetricsTest, SnapshotJsonMatchesGolden) {
-  MetricsRegistry reg;
-  reg.counter("tcp.segments_sent").inc(1234);
-  reg.counter("net.drops_queue").inc(7);
-  reg.counter("odd \"name\"\n").inc(1);  // names go through the shared escaper
-  reg.gauge("net.queue_high_water_bytes").set(65536.0);
-  reg.gauge("sim.sim_wall_ratio").set(0.1);
-  auto& h = reg.histogram("server.block_bytes", {1024.0, 65536.0});
+  MetricsSnapshot snap;
+  snap.counters["tcp.segments_sent"] = 1234;
+  snap.counters["net.drops_queue"] = 7;
+  snap.counters["odd \"name\"\n"] = 1;  // names go through the shared escaper
+  snap.gauges["net.queue_high_water_bytes"] = 65536.0;
+  snap.gauges["sim.sim_wall_ratio"] = 0.1;
+  FixedHistogram h{{1024.0, 65536.0}};
   h.observe(800.0);
   h.observe(65536.0);
   h.observe(1e6);
+  snap.histograms.emplace("server.block_bytes", h);
 
   // Byte-exact: names sorted, gauges and histogram sums as %.17g, the
   // percentiles derived from the buckets (p50 halfway into the second
@@ -134,36 +123,40 @@ TEST(ObsMetricsTest, SnapshotJsonMatchesGolden) {
       "\"sim.sim_wall_ratio\":0.10000000000000001},"
       "\"histograms\":{\"server.block_bytes\":{\"bounds\":[1024,65536],\"counts\":[1,1,1],"
       "\"count\":3,\"sum\":1066336,\"p50\":33280,\"p90\":65536,\"p99\":65536}}}";
-  EXPECT_EQ(reg.snapshot().to_json(), expected);
+  EXPECT_EQ(snap.to_json(), expected);
 }
 
 TEST(ObsMetricsTest, MergeAddsCountersAndKeepsGaugeMaxima) {
-  MetricsRegistry a;
-  a.counter("c").inc(3);
-  a.gauge("g").set(10.0);
-  a.histogram("h", {1.0}).observe(0.5);
-  MetricsRegistry b;
-  b.counter("c").inc(4);
-  b.counter("only_b").inc(1);
-  b.gauge("g").set(2.0);
-  b.histogram("h", {1.0}).observe(5.0);
+  MetricsSnapshot a;
+  a.counters["c"] = 3;
+  a.gauges["g"] = 10.0;
+  FixedHistogram ha{{1.0}};
+  ha.observe(0.5);
+  a.histograms.emplace("h", ha);
+  MetricsSnapshot b;
+  b.counters["c"] = 4;
+  b.counters["only_b"] = 1;
+  b.gauges["g"] = 2.0;
+  FixedHistogram hb{{1.0}};
+  hb.observe(5.0);
+  b.histograms.emplace("h", hb);
 
-  MetricsSnapshot merged = a.snapshot();
-  merged.merge_from(b.snapshot());
+  MetricsSnapshot merged = a;
+  merged.merge_from(b);
   EXPECT_EQ(merged.counters.at("c"), 7u);
   EXPECT_EQ(merged.counters.at("only_b"), 1u);
   EXPECT_DOUBLE_EQ(merged.gauges.at("g"), 10.0);
-  EXPECT_EQ(merged.histograms.at("h").counts, (std::vector<std::uint64_t>{1, 1}));
-  EXPECT_EQ(merged.histograms.at("h").count, 2u);
+  EXPECT_EQ(merged.histograms.at("h").counts(), (std::vector<std::uint64_t>{1, 1}));
+  EXPECT_EQ(merged.histograms.at("h").count(), 2u);
 }
 
 TEST(ObsMetricsTest, ReportJsonEmbedsSnapshot) {
   analysis::SessionReport report;
   report.label = "obs";
-  MetricsRegistry reg;
-  reg.counter("tcp.segments_retransmitted").inc(42);
+  MetricsSnapshot snap;
+  snap.counters["tcp.segments_retransmitted"] = 42;
 
-  const std::string with = analysis::to_json(report, reg.snapshot());
+  const std::string with = analysis::to_json(report, snap);
   EXPECT_NE(with.find("\"metrics\":{"), std::string::npos);
   EXPECT_NE(with.find("\"tcp.segments_retransmitted\":42"), std::string::npos);
   // An empty snapshot leaves the plain report unchanged.
@@ -271,7 +264,7 @@ struct ObservedWire {
     profile.loss_rate = 0.0;
     path = std::make_unique<net::Path>(sim, profile, rng);
     fabric = std::make_unique<tcp::Fabric>(sim, *path);
-    recorder = std::make_unique<capture::TraceRecorder>(sim, *path);
+    recorder = std::make_unique<capture::TraceRecorder>(*path);
     recorder->start();
   }
 
@@ -322,10 +315,9 @@ TEST(ObsIntegrationTest, TcpStatsZeroWindowEpisodesMatchTraceAnalysis) {
 
   // The throttling client must actually have closed its window.
   ASSERT_GT(from_trace, 0u);
-  // Endpoint-side live stats, registry counter and offline trace analysis
-  // all agree on a loss-free path (every transmitted segment is captured).
+  // Endpoint-side live stats and offline trace analysis agree on a
+  // loss-free path (every transmitted segment is captured).
   EXPECT_EQ(stats.zero_window_episodes, from_trace);
-  EXPECT_EQ(w.obs.metrics().counter("tcp.zero_window_episodes").value(), from_trace);
   EXPECT_GT(stats.zero_window_total_s, 0.0);
 }
 
@@ -343,11 +335,112 @@ TEST(ObsIntegrationTest, NoSinkProbesStillMaintainCounters) {
   w.sim.run_until(SimTime::from_seconds(20.0));
 
   EXPECT_GT(client.bytes_read(), 0u);
-  EXPECT_GT(w.obs.metrics().counter("tcp.segments_sent").value(), 0u);
-  EXPECT_GT(w.obs.metrics().counter("net.segments_delivered").value(), 0u);
+  EXPECT_GT(conn.server().stats().segments_sent, 0u);
+  EXPECT_GT(w.path->down().counters().delivered, 0u);
   // No sink was ever attached: the bus never dispatched a single event.
   EXPECT_FALSE(w.obs.trace().active());
   EXPECT_EQ(w.obs.trace().events_emitted(), 0u);
+}
+
+// ---- session snapshot vs. the components' own stats ---------------------
+
+/// Tallies what a session puts on its trace bus that its snapshot counts
+/// too: paced blocks, loop samples and the spans the capture cutoff closed.
+struct BusTally final : TraceSink {
+  void on_event(const TraceEvent& event) override {
+    if (const auto* block = std::get_if<PacingBlockEmitted>(&event)) {
+      if (block->initial_burst) {
+        ++initial_bursts;
+      } else {
+        ++paced_blocks;
+        paced_bytes += block->bytes;
+      }
+    } else if (std::holds_alternative<SimLoopSample>(event)) {
+      ++loop_samples;
+    } else if (const auto* span = std::get_if<SpanRecord>(&event)) {
+      if (span->detail == "capture_end") ++truncated;
+    }
+  }
+
+  std::uint64_t initial_bursts{0};
+  std::uint64_t paced_blocks{0};
+  std::uint64_t paced_bytes{0};
+  std::uint64_t loop_samples{0};
+  std::uint64_t truncated{0};
+};
+
+std::vector<streaming::NamedScenario> every_scenario(double capture_s) {
+  auto all = streaming::canonical_scenarios(capture_s);
+  for (auto& s : streaming::fault_scenarios(capture_s)) all.push_back(std::move(s));
+  return all;
+}
+
+TEST(SessionMetricsTest, SnapshotCountsEqualComponentStats) {
+  for (auto& [name, cfg] : every_scenario(60.0)) {
+    SCOPED_TRACE(name);
+    BusTally bus;
+    cfg.trace_sink = &bus;
+    cfg.keep_full_trace = true;  // capture.trace_bytes covers every host
+    const auto r = streaming::run_session(cfg);
+    const auto& c = r.metrics.counters;
+    const auto& g = r.metrics.gauges;
+    const auto count_of = [&c](const char* key) {
+      const auto it = c.find(key);
+      return it == c.end() ? std::uint64_t{0} : it->second;
+    };
+
+    EXPECT_EQ(c.at("player.stalls"), r.player.stall_count);
+    EXPECT_EQ(c.at("player.rebuffers"), r.resilience.rebuffer_count);
+    EXPECT_EQ(c.at("player.interrupts"), r.player.interrupted ? 1u : 0u);
+    EXPECT_EQ(count_of("fetch.retries"), r.resilience.fetch_retries);
+    EXPECT_EQ(count_of("fetch.timeouts"), r.resilience.fetch_timeouts);
+    EXPECT_EQ(c.at("net.drops_fault"), r.resilience.fault_drops);
+    EXPECT_EQ(c.at("net.fault_windows"), r.resilience.fault_windows);
+    EXPECT_GT(c.at("tcp.segments_sent"), 0u);
+
+    // Server counts appear only once a block of their kind went out.
+    EXPECT_EQ(c.count("server.initial_bursts"), bus.initial_bursts > 0 ? 1u : 0u);
+    EXPECT_EQ(c.count("server.paced_blocks"), bus.paced_blocks > 0 ? 1u : 0u);
+    EXPECT_EQ(count_of("server.initial_bursts"), bus.initial_bursts);
+    EXPECT_EQ(count_of("server.paced_blocks"), bus.paced_blocks);
+    if (bus.paced_blocks > 0) {
+      const auto& blocks = r.metrics.histograms.at("server.block_bytes");
+      EXPECT_EQ(blocks.count(), bus.paced_blocks);
+      EXPECT_DOUBLE_EQ(blocks.sum(), static_cast<double>(bus.paced_bytes));
+    } else {
+      EXPECT_EQ(r.metrics.histograms.count("server.block_bytes"), 0u);
+    }
+
+    EXPECT_EQ(c.at("sim.loop_samples"), bus.loop_samples);
+    EXPECT_LE(g.at("sim.events_pending_high_water"),
+              static_cast<double>(r.sim_max_events_pending));
+    EXPECT_DOUBLE_EQ(g.at("capture.trace_bytes"),
+                     static_cast<double>(r.trace.packets.size() * sizeof(capture::PacketRecord)));
+    EXPECT_DOUBLE_EQ(g.at("obs.spans_truncated"), static_cast<double>(bus.truncated));
+  }
+}
+
+TEST(SessionMetricsTest, UntracedSnapshotHasNoTruncatedSpanGauge) {
+  auto cfg = streaming::canonical_scenarios(5.0).front().config;
+  const auto r = streaming::run_session(cfg);
+  EXPECT_EQ(r.metrics.gauges.count("obs.spans_truncated"), 0u);
+  EXPECT_EQ(r.metrics.counters.at("sim.loop_samples"), 5u);
+}
+
+// The capture analysis reads one window signal off the whole trace, so the
+// comparison holds where the video is the only traffic on the path.
+TEST(SessionMetricsTest, ZeroWindowEpisodesMatchTheCaptureOnALossFreePath) {
+  std::uint64_t total = 0;
+  for (auto& [name, cfg] : streaming::canonical_scenarios(60.0)) {
+    SCOPED_TRACE(name);
+    cfg.network.loss_rate = 0.0;
+    cfg.auxiliary_traffic = false;
+    const auto r = streaming::run_session(cfg);
+    const std::uint64_t episodes = r.metrics.counters.at("tcp.zero_window_episodes");
+    EXPECT_EQ(episodes, analysis::count_zero_window_episodes(r.trace));
+    total += episodes;
+  }
+  EXPECT_GT(total, 0u) << "the pull-throttling clients close their windows";
 }
 
 // ---- acceptance: JSONL cwnd trace reconstructs the rwnd signal -----------

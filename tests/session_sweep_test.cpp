@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -220,6 +221,10 @@ struct Rejection {
   const char* field;
   const char* value;
 };
+
+// gtest's default printer would byte-dump the three pointers into the
+// listed test names, which ASLR changes on every run.
+void PrintTo(const Rejection& r, std::ostream* os) { *os << r.name; }
 
 class ShardPayloadRejectionTest : public ::testing::TestWithParam<Rejection> {};
 

@@ -167,7 +167,7 @@ TEST(VideoServerTest, PacedBlocksProduceShortOnOff) {
   auto& conn = w.fabric.create_connection(copt, {});
   const auto video = test_video(600.0, 1e6);
   VideoStreamServer server{w.sim, conn.server(), video, ServerPacing::youtube_flash()};
-  capture::TraceRecorder recorder{w.sim, w.path};
+  capture::TraceRecorder recorder{w.path};
   recorder.start();
   GreedyClient client{conn.client(), {}};
   conn.client().set_on_established([&] {
@@ -231,7 +231,7 @@ TEST(PullThrottleClientTest, BuffersGreedilyThenPullsQuanta) {
   cfg.accumulation_ratio = 1.06;
   cfg.encoding_bps = 1e6;
   PullThrottleClient client{w.sim, conn.client(), cfg, {}};
-  capture::TraceRecorder recorder{w.sim, w.path};
+  capture::TraceRecorder recorder{w.path};
   recorder.start();
   conn.client().set_on_established([&] {
     http::HttpClient http{conn.client()};
@@ -268,7 +268,7 @@ TEST(PullThrottleClientTest, NoOffPeriodsWhenBandwidthBelowTarget) {
   cfg.accumulation_ratio = 1.06;
   cfg.encoding_bps = 1e6;
   PullThrottleClient client{sim, conn.client(), cfg, {}};
-  capture::TraceRecorder recorder{sim, path};
+  capture::TraceRecorder recorder{path};
   recorder.start();
   conn.client().set_on_established([&] {
     http::HttpClient http{conn.client()};
@@ -342,7 +342,7 @@ TEST(IpadClientTest, MixesChunkSizes) {
   IpadYouTubeClient::Config cfg;
   cfg.initial_buffer_bytes = 6 * 1024 * 1024;
   IpadYouTubeClient client{w.sim, fm, video, cfg, {}};
-  capture::TraceRecorder recorder{w.sim, w.path};
+  capture::TraceRecorder recorder{w.path};
   recorder.start();
   client.start();
   w.sim.run_until(SimTime::from_seconds(180.0));
@@ -363,7 +363,7 @@ TEST(IpadClientTest, LowRateVideoUsesOnePersistentConnection) {
   cfg.initial_buffer_bytes = 2 * 1024 * 1024;
   IpadYouTubeClient client{w.sim, fm, video, cfg, {}};
   EXPECT_TRUE(client.single_connection_mode());
-  capture::TraceRecorder recorder{w.sim, w.path};
+  capture::TraceRecorder recorder{w.path};
   recorder.start();
   client.start();
   w.sim.run_until(SimTime::from_seconds(180.0));

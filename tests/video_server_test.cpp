@@ -120,7 +120,7 @@ TEST(VideoServerTest, TwoSequentialRequestsEachPaced) {
 
 TEST(VideoServerTest, RangedPacedResponseServesOnlyRangeAtPacedRate) {
   Wire w;
-  capture::TraceRecorder recorder{w.sim, w.path};
+  capture::TraceRecorder recorder{w.path};
   recorder.start();
   tcp::TcpOptions copt;
   copt.recv_buffer_bytes = 512 * 1024;
